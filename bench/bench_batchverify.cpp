@@ -61,7 +61,7 @@ bool outcomes_match(const dmw::proto::Outcome& a,
          a.traffic.p2p_equivalent_bytes == b.traffic.p2p_equivalent_bytes;
 }
 
-/// Drive one honest run through the ProtocolRunner's stage order, timing the
+/// Drive one honest run through the engine's stage order, timing the
 /// three (idempotent) check stages over `reps` repetitions each.
 ModeResult run_mode(const dmw::proto::PublicParams<Group256>& params,
                     const dmw::mech::SchedulingInstance& instance,
@@ -81,12 +81,15 @@ ModeResult run_mode(const dmw::proto::PublicParams<Group256>& params,
     for (int wait = 0; net.in_flight() > 0 && wait < 1024; ++wait)
       net.advance_round();
   };
+  const auto each_task = [&](auto&& per_task) {
+    for (auto& agent : agents)
+      for (std::size_t j = 0; j < m; ++j) per_task(*agent, j);
+  };
   const auto timed_stage = [&](auto&& per_task) {
     double best = 0.0;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       Stopwatch timer;
-      for (auto& agent : agents)
-        for (std::size_t j = 0; j < m; ++j) per_task(*agent, j);
+      each_task(per_task);
       const double seconds = timer.seconds();
       if (rep == 0 || seconds < best) best = seconds;
     }
@@ -96,7 +99,10 @@ ModeResult run_mode(const dmw::proto::PublicParams<Group256>& params,
   ModeResult result;
   for (auto& a : agents) a->phase0_publish_key(net);
   sync();
-  for (auto& a : agents) a->phase2_bid_and_send(net);
+  for (auto& a : agents) {
+    a->phase2_prepare(net);
+    for (std::size_t j = 0; j < m; ++j) a->phase2_send_task(net, j);
+  }
   sync();
 
   // III.1: shares + commitments in, Eq. (7)-(9).
@@ -107,7 +113,7 @@ ModeResult run_mode(const dmw::proto::PublicParams<Group256>& params,
   });
   for (auto& a : agents) {
     a->commit_task_failures(net);
-    a->phase3_publish_lambda_psi(net);
+    for (std::size_t j = 0; j < m; ++j) a->phase3_lambda_task(net, j);
   }
   sync();
 
@@ -125,13 +131,21 @@ ModeResult run_mode(const dmw::proto::PublicParams<Group256>& params,
   sync();
 
   // III.3 (untimed: disclosure checks are not batched).
-  for (auto& a : agents) a->phase3_disclose(net);
+  each_task([&](DmwAgent<Group256>& a, std::size_t j) {
+    a.phase3_disclose_task(net, j);
+  });
   sync();
-  for (auto& a : agents) a->phase3_identify_winner(net);
+  for (auto& a : agents) {
+    a->absorb_published(net);
+    for (std::size_t j = 0; j < m; ++j) a->phase3_winner_task(net, j);
+    a->commit_task_failures(net);
+  }
   sync();
 
   // III.4: winner-excluded Eq. (11) + second-price resolution.
-  for (auto& a : agents) a->phase3_publish_reduced(net);
+  each_task([&](DmwAgent<Group256>& a, std::size_t j) {
+    a.phase3_reduced_task(net, j);
+  });
   sync();
   for (auto& a : agents) a->absorb_published(net);
   result.stage_s[2] = timed_stage([&](DmwAgent<Group256>& a,

@@ -1,94 +1,73 @@
-// bench_parallel: scaling trajectory of the task-parallel auction engine.
+// bench_parallel: scaling trajectory of the pooled protocol engine.
 //
 // Emits BENCH_parallel.json with wall-clock seconds for full honest DMW runs
 // on the 256-bit production-shaped group (250-bit p, 160-bit q — the
 // bench_crypto fixture), sweeping m in {8, 32, 128} tasks across 1/2/4/8
-// worker threads, each compared against the sequential ProtocolRunner
-// baseline. Every parallel Outcome is checked for bit-identity against the
-// sequential one before its timing is reported — a run that diverged would
-// be measuring a different protocol.
+// worker threads, each compared against the inline executor
+// (ProtocolRunner: the same engine with no pool). Every pooled Outcome is
+// checked with outcomes_identical against the inline one before its timing
+// is reported — a run that diverged would be measuring a different protocol.
+//
+// Every run is timed with bench_ns (support/stopwatch.hpp): one warm-up
+// run, then the fastest of five windows. The sweep repeats in kRounds
+// rounds that time every configuration of one m back to back, and each
+// configuration keeps its fastest round: a host whose speed drifts over
+// seconds then cannot hand the inline run and a pooled run different
+// slices of that drift. The threads=1 row's speedup is inline time /
+// one-worker-pool time — what handing slices to a pool costs when there is
+// nothing to run them in parallel on.
 //
 // hardware_concurrency is recorded alongside the numbers: on a single-core
-// host every speedup is honestly ~1.0x (the engine adds no overhead but has
-// no cores to scale onto); the CI perf-regression job runs this on multi-core
-// runners and uploads the artifact with the real scaling curve.
+// host every speedup is honestly ~1.0x at best; the CI perf-regression job
+// runs this on multi-core runners and uploads the artifact with the real
+// scaling curve.
 //
 // Usage: bench_parallel [--out FILE] [--quick] [--stdout] [--threads N]
-//                       [--schedule dynamic|static]
 //   --threads N   sweep only N workers (0 = auto-detect hardware_concurrency)
-//   --schedule S  pin the engine discipline instead of honouring
-//                 DMW_DETERMINISTIC_SCHEDULE — CI measures the work-stealing
-//                 (dynamic) curve explicitly so the canonical scaling-curve
-//                 artifact is not at the mercy of the runner's environment
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "dmw/parallel.hpp"
+#include "dmw/protocol.hpp"
 #include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
+#include "support/stopwatch.hpp"
 #include "support/thread_pool.hpp"
-#include "support/trace.hpp"
 
 namespace {
 
 using dmw::Xoshiro256ss;
 using dmw::num::Group256;
 
-/// Seconds elapsed on the tracer's run-relative clock (the one timing
-/// source the codebase keeps — see the dmwlint raw-clock rule).
-double elapsed_s(std::int64_t begin_ns) {
-  return static_cast<double>(dmw::trace::Tracer::instance().now_ns() -
-                             begin_ns) *
-         1e-9;
-}
-
 constexpr std::size_t kAgents = 6;
 constexpr std::uint64_t kSeed = 7;
+constexpr int kRounds = 3;
 
-bool outcomes_match(const dmw::proto::Outcome& a,
-                    const dmw::proto::Outcome& b) {
-  return a.aborted == b.aborted && a.schedule == b.schedule &&
-         a.payments == b.payments && a.first_prices == b.first_prices &&
-         a.second_prices == b.second_prices && a.rounds == b.rounds &&
-         a.transcripts_consistent == b.transcripts_consistent &&
-         a.traffic.p2p_equivalent_messages ==
-             b.traffic.p2p_equivalent_messages &&
-         a.traffic.p2p_equivalent_bytes == b.traffic.p2p_equivalent_bytes;
+/// Lower `best_s` to the seconds per call of `run`: warm-up, then the
+/// fastest of five windows of >= 50 ms.
+void time_run(double& best_s, const std::function<void()>& run) {
+  best_s = std::min(best_s, dmw::bench_ns(run, 0.05) * 1e-9);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) try {
   dmw::Logger::instance().set_level(dmw::LogLevel::kInfo);
-  dmw::Flags flags(
-      argc, argv,
-      {"out", "quick!", "stdout!", "threads", "schedule", "help!"});
+  dmw::Flags flags(argc, argv,
+                   {"out", "quick!", "stdout!", "threads", "help!"});
   const std::string out_path = flags.get_string("out", "BENCH_parallel.json");
   const bool quick = flags.get_bool("quick");
   const bool to_stdout = flags.get_bool("stdout");
   if (flags.get_bool("help")) {
-    std::puts(
-        "bench_parallel [--out FILE] [--quick] [--stdout] [--threads N]\n"
-        "               [--schedule dynamic|static]");
+    std::puts("bench_parallel [--out FILE] [--quick] [--stdout] [--threads N]");
     return 0;
   }
-  const std::string schedule = flags.get_string(
-      "schedule", dmw::ThreadPool::deterministic_schedule_default()
-                      ? "static"
-                      : "dynamic");
-  if (schedule != "dynamic" && schedule != "static") {
-    DMW_ERROR() << "bench_parallel: --schedule must be dynamic or static, got "
-                << schedule;
-    return 1;
-  }
-  dmw::proto::RunConfig run_config;
-  run_config.deterministic_schedule = schedule == "static";
-
   DMW_INFO() << "bench_parallel: hardware_concurrency="
-             << dmw::ThreadPool::default_thread_count() << " schedule="
-             << schedule;
+             << dmw::ThreadPool::default_thread_count();
 
   const std::vector<std::size_t> task_counts =
       quick ? std::vector<std::size_t>{4} : std::vector<std::size_t>{8, 32, 128};
@@ -115,7 +94,6 @@ int main(int argc, char** argv) try {
   json.begin_object();
   json.key("bench").value("parallel");
   json.key("schema_version").value(std::uint64_t{2});
-  json.key("schedule").value(schedule);
   json.key("group").value("GroupBig<4>: 250-bit p, 160-bit q (seed 1)");
   json.key("n").value(std::uint64_t{kAgents});
   json.key("hardware_concurrency")
@@ -128,24 +106,37 @@ int main(int argc, char** argv) try {
     const auto instance =
         dmw::mech::make_uniform_instance(kAgents, m, params.bid_set(), rng);
 
-    const std::int64_t seq_begin = dmw::trace::Tracer::instance().now_ns();
-    const auto reference = dmw::proto::run_honest_dmw(params, instance);
-    const double sequential_s = elapsed_s(seq_begin);
-    if (reference.aborted) {
-      DMW_ERROR() << "bench_parallel: sequential baseline aborted at m=" << m;
-      return 1;
+    dmw::proto::Outcome reference;
+    double sequential_s = std::numeric_limits<double>::infinity();
+    std::vector<double> pooled_s(thread_counts.size(), sequential_s);
+    std::vector<bool> matches(thread_counts.size(), true);
+    for (int round = 0; round < kRounds; ++round) {
+      time_run(sequential_s, [&] {
+        reference = dmw::proto::run_honest_dmw(params, instance);
+      });
+      if (reference.aborted) {
+        DMW_ERROR() << "bench_parallel: inline baseline aborted at m=" << m;
+        return 1;
+      }
+      for (std::size_t k = 0; k < thread_counts.size(); ++k) {
+        const std::size_t threads = thread_counts[k];
+        dmw::proto::Outcome outcome;
+        time_run(pooled_s[k], [&] {
+          outcome = dmw::proto::run_parallel_dmw(params, instance, threads);
+        });
+        if (!dmw::proto::outcomes_identical(reference, outcome))
+          matches[k] = false;
+      }
     }
 
     json.begin_object();
     json.key("m").value(std::uint64_t{m});
     json.key("sequential_s").value(sequential_s);
     json.begin_array("runs");
-    for (const std::size_t threads : thread_counts) {
-      const std::int64_t begin = dmw::trace::Tracer::instance().now_ns();
-      const auto outcome =
-          dmw::proto::run_parallel_dmw(params, instance, threads, run_config);
-      const double seconds = elapsed_s(begin);
-      const bool match = outcomes_match(reference, outcome);
+    for (std::size_t k = 0; k < thread_counts.size(); ++k) {
+      const std::size_t threads = thread_counts[k];
+      const double seconds = pooled_s[k];
+      const bool match = matches[k];
       all_match = all_match && match;
       json.begin_object();
       json.key("threads").value(std::uint64_t{threads});
@@ -154,7 +145,7 @@ int main(int argc, char** argv) try {
       json.key("outcome_match").value(match);
       json.end_object();
       DMW_INFO() << "bench_parallel: m=" << m << " threads=" << threads
-                 << " " << seconds << "s (seq " << sequential_s
+                 << " " << seconds << "s (inline " << sequential_s
                  << "s), match=" << match;
     }
     json.end_array();

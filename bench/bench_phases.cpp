@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "dmw/parallel.hpp"
 #include "dmw/protocol.hpp"
 #include "exp/table.hpp"
 #include "support/trace.hpp"

@@ -2,10 +2,10 @@
 //
 // Each agent owns its secrets (bid polynomials), verifies everything it can
 // observe, and aborts the protocol the moment a check fails — the behaviour
-// the faithfulness proof (Thms. 4, 8) relies on. The runner drives agents
-// through the phase steps in lockstep, mirroring the implicit
-// synchronization point II.4; all communication flows through SimNetwork so
-// traffic statistics are real.
+// the faithfulness proof (Thms. 4, 8) relies on. The protocol engine
+// (dmw/protocol.hpp) drives agents through the phase steps one network round
+// at a time, mirroring the implicit synchronization point II.4; all
+// communication flows through SimNetwork so traffic statistics are real.
 //
 // Efficiency note (Thm. 12): verifying Eq. (11) for every publisher naively
 // costs O(n^3 log p) per task because Gamma_{i,l} depends on both the
@@ -17,16 +17,16 @@
 // Execution model: every phase is split into a per-agent *ingest* step
 // (drains the inbox / bulletin and touches cross-task members: transcript,
 // peer keys, bids) and per-task *compute* steps that read shared-const state
-// and write only their own TaskView. The classic phase methods are wrappers
-// chaining ingest -> per-task loop -> commit_task_failures(); the
-// task-parallel driver (dmw/parallel.hpp) runs the same pieces with the
-// per-task steps sharded across ThreadPool workers. Per-task randomness
-// comes from an independent ChaCha stream keyed by (master seed, task id),
-// so sampled polynomials are identical no matter which worker — or how many
-// workers — execute the task. Failed checks are *recorded* per task and
-// committed at the stage barrier as a single abort on the lowest failing
-// task, which is exactly the abort the historical sequential scan (tasks in
-// ascending order, stop at first failure) produced.
+// and write only their own TaskView. The engine's stage table chains them
+// ingest -> per-task steps -> commit_task_failures(), running the per-task
+// steps inline in ascending task order or as slices on ThreadPool workers.
+// Per-task randomness comes from an independent ChaCha stream keyed by
+// (master seed, task id), so sampled polynomials are identical no matter
+// which worker — or how many workers — execute the task. Failed checks are
+// *recorded* per task and committed at the stage barrier as a single abort
+// on the lowest failing task, which is exactly the abort the historical
+// sequential scan (tasks in ascending order, stop at first failure)
+// produced.
 #pragma once
 
 #include <map>
@@ -207,14 +207,6 @@ class DmwAgent {
                 msg.encode(g));
   }
 
-  /// II.1-II.3: choose bids, sample polynomials, distribute shares over the
-  /// private channels and publish commitments.
-  void phase2_bid_and_send(net::SimNetwork& net) {
-    if (stopped()) return;
-    phase2_prepare(net);
-    for (std::size_t j = 0; j < params_.m(); ++j) phase2_send_task(net, j);
-  }
-
   // ---- Phase III -----------------------------------------------------------
 
   /// III.1 ingest: open the sealed share envelopes and absorb the published
@@ -304,15 +296,6 @@ class DmwAgent {
     finish_verified_task(j);
   }
 
-  /// III.1: collect shares + commitments, verify Eqs. (7)-(9), and build
-  /// the Qhat/Rhat aggregates.
-  void phase3_collect_and_verify(net::SimNetwork& net) {
-    if (stopped()) return;
-    phase3_ingest(net);
-    for (std::size_t j = 0; j < params_.m(); ++j) phase3_verify_task(net, j);
-    commit_task_failures(net);
-  }
-
   /// III.2 (Eq. 10) for one task: publish Lambda_i = z1^{E(alpha_i)},
   /// Psi_i = z2^{H(alpha_i)}.
   void phase3_lambda_task(net::SimNetwork& net, std::size_t j) {
@@ -336,12 +319,6 @@ class DmwAgent {
                   static_cast<std::uint32_t>(MsgKind::kLambdaPsi),
                   msg.encode(g));
     }
-  }
-
-  /// III.2 (Eq. 10): publish Lambda/Psi for every task.
-  void phase3_publish_lambda_psi(net::SimNetwork& net) {
-    if (stopped()) return;
-    for (std::size_t j = 0; j < params_.m(); ++j) phase3_lambda_task(net, j);
   }
 
   /// III.2 verification (Eq. 11) for one task. Batched by default: one RLC
@@ -420,15 +397,6 @@ class DmwAgent {
     phase3_first_price_resolve_task(net, j);
   }
 
-  /// III.2 verification + first-price resolution across every task.
-  void phase3_verify_and_resolve_first_price(net::SimNetwork& net) {
-    if (stopped()) return;
-    absorb_published(net);
-    for (std::size_t j = 0; j < params_.m(); ++j)
-      phase3_first_price_task(net, j);
-    commit_task_failures(net);
-  }
-
   /// III.3 disclosure for one task: the first y*+1 agents publish the
   /// f-shares they hold.
   void phase3_disclose_task(net::SimNetwork& net, std::size_t j) {
@@ -462,12 +430,6 @@ class DmwAgent {
                   static_cast<std::uint32_t>(MsgKind::kWinnerShares),
                   msg.encode(g));
     }
-  }
-
-  /// III.3 disclosure across every task.
-  void phase3_disclose(net::SimNetwork& net) {
-    if (stopped()) return;
-    for (std::size_t j = 0; j < params_.m(); ++j) phase3_disclose_task(net, j);
   }
 
   /// III.3 winner identification for one task: verify disclosures (Eq. 13),
@@ -537,14 +499,6 @@ class DmwAgent {
     }
   }
 
-  /// III.3 winner identification across every task.
-  void phase3_identify_winner(net::SimNetwork& net) {
-    if (stopped()) return;
-    absorb_published(net);
-    for (std::size_t j = 0; j < params_.m(); ++j) phase3_winner_task(net, j);
-    commit_task_failures(net);
-  }
-
   /// III.4 (Eq. 15) for one task: publish the winner-excluded Lambda/Psi.
   void phase3_reduced_task(net::SimNetwork& net, std::size_t j) {
     if (stopped()) return;
@@ -571,12 +525,6 @@ class DmwAgent {
                   static_cast<std::uint32_t>(MsgKind::kReducedLambdaPsi),
                   msg.encode(g));
     }
-  }
-
-  /// III.4 (Eq. 15): publish the reduced Lambda/Psi for every task.
-  void phase3_publish_reduced(net::SimNetwork& net) {
-    if (stopped()) return;
-    for (std::size_t j = 0; j < params_.m(); ++j) phase3_reduced_task(net, j);
   }
 
   /// III.4 verification (Eq. 11 excluding the winner) for one task. The
@@ -655,15 +603,6 @@ class DmwAgent {
     phase3_second_price_resolve_task(net, j);
   }
 
-  /// III.4 verification + second-price resolution across every task.
-  void phase3_resolve_second_price(net::SimNetwork& net) {
-    if (stopped()) return;
-    absorb_published(net);
-    for (std::size_t j = 0; j < params_.m(); ++j)
-      phase3_second_price_task(net, j);
-    commit_task_failures(net);
-  }
-
   // ---- Phase IV ------------------------------------------------------------
 
   /// IV.1: compute the full payment vector and submit it to the payment
@@ -689,7 +628,8 @@ class DmwAgent {
   /// broadcast. The lowest failing task wins, which reproduces bit-for-bit
   /// the abort the historical sequential scan (tasks in ascending order,
   /// stop at the first failure) chose — regardless of which worker found
-  /// which failure first. Serial: call from the driver thread only.
+  /// which failure first. Call once per stage, after every task step of
+  /// this agent's stage has finished.
   void commit_task_failures(net::SimNetwork& net) {
     if (stopped()) return;
     for (std::size_t j = 0; j < tasks_.size(); ++j) {

@@ -23,10 +23,10 @@
 //
 // so `dmw_sim --seed <master> --instance-seed <s*3+1> --secret-seed <x>`
 // replays any single auction from a serve stream, and ServeEngine's own
-// check_oneshot mode re-runs every request through the sequential
-// ProtocolRunner and compares all Outcome fields. The stream digest is a
-// function of Outcomes only, so it is bit-identical across thread counts and
-// schedule modes (the serve-smoke CI job pins this).
+// check_oneshot mode re-runs every request on the inline executor
+// (ProtocolRunner) and compares them with outcomes_identical. The stream
+// digest is a function of Outcomes only, so it is bit-identical across
+// thread counts (the serve-smoke CI job pins this).
 //
 // This header is JSON-free on purpose: report assembly (worker counts,
 // hardware_concurrency, latency tables) lives in tools/dmw_serve.cpp, keeping
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
-#include "dmw/parallel.hpp"
 #include "dmw/protocol.hpp"
 #include "dmw/strategies.hpp"
 #include "mech/problem.hpp"
@@ -268,10 +267,11 @@ class ServeEngine {
  public:
   struct Config {
     std::size_t threads = 1;  ///< 0 = hardware concurrency
+    /// Inert; must stay false. dmw_bench/ is its only reader.
     bool deterministic_schedule = false;
     bool encrypt_channels = true;
-    /// Re-run every request through the sequential ProtocolRunner and
-    /// compare all Outcome fields (the serve-smoke identity gate). Roughly
+    /// Re-run every request on the inline executor (ProtocolRunner) and
+    /// require outcomes_identical (the serve-smoke identity gate). Roughly
     /// doubles the work per request.
     bool check_oneshot = false;
     std::uint64_t base_secret_seed = RunConfig{}.secret_seed;
@@ -282,10 +282,11 @@ class ServeEngine {
       : params_(params),
         config_(config),
         pool_(config.threads == 0 ? ThreadPool::default_thread_count()
-                                  : config.threads,
-              config.deterministic_schedule),
+                                  : config.threads),
         arenas_(pool_.size(), config.arena_slab_bytes),
         strategies_(params.n(), &honest_) {
+    DMW_REQUIRE_MSG(!config.deterministic_schedule,
+                    "ServeEngine: static schedule was removed");
     chain_.fill(0);
   }
 
@@ -303,7 +304,6 @@ class ServeEngine {
     config.secret_seed =
         serve_secret_seed(config_.base_secret_seed, request.seed);
     config.encrypt_channels = config_.encrypt_channels;
-    config.deterministic_schedule = config_.deterministic_schedule;
 
     ParallelProtocol<G> engine(params_, instance, strategies_, pool_, config);
     outcome_ = engine.run();
@@ -324,7 +324,7 @@ class ServeEngine {
 
   std::uint64_t auctions() const { return auctions_; }
   std::uint64_t aborted() const { return aborted_; }
-  /// Requests whose parallel Outcome differed from the sequential re-run
+  /// Requests whose pooled Outcome differed from the inline re-run
   /// (only ever counted with Config::check_oneshot; the gate is == 0).
   std::uint64_t oneshot_mismatches() const { return oneshot_mismatches_; }
   Arena::Stats arena_stats() const { return arenas_.combined_stats(); }
@@ -332,34 +332,8 @@ class ServeEngine {
   /// Hex digest of the Outcome stream so far: a SHA-256 chain over every
   /// request's (id, seed, outcome fields). Equal digests <=> byte-identical
   /// per-auction outcome streams; the serve-smoke job compares them across
-  /// thread counts and schedule modes.
+  /// thread counts.
   std::string outcome_digest() const { return crypto::digest_hex(chain_); }
-
-  /// Field-by-field Outcome identity (the bit-identity contract's fields:
-  /// abort record, schedule, prices, payments, rounds, and every
-  /// TrafficStats column — unicast, broadcast, and p2p-equivalent alike).
-  static bool outcomes_identical(const Outcome& a, const Outcome& b) {
-    if (a.aborted != b.aborted) return false;
-    if (a.aborted) {
-      if (!a.abort_record || !b.abort_record) return false;
-      if (a.abort_record->task != b.abort_record->task) return false;
-      if (a.abort_record->reason != b.abort_record->reason) return false;
-      if (a.aborting_agent != b.aborting_agent) return false;
-    } else {
-      if (!(a.schedule == b.schedule)) return false;
-      if (a.first_prices != b.first_prices) return false;
-      if (a.second_prices != b.second_prices) return false;
-    }
-    return a.payments == b.payments && a.rounds == b.rounds &&
-           a.transcripts_consistent == b.transcripts_consistent &&
-           a.traffic.unicast_messages == b.traffic.unicast_messages &&
-           a.traffic.unicast_bytes == b.traffic.unicast_bytes &&
-           a.traffic.broadcast_messages == b.traffic.broadcast_messages &&
-           a.traffic.broadcast_bytes == b.traffic.broadcast_bytes &&
-           a.traffic.p2p_equivalent_messages ==
-               b.traffic.p2p_equivalent_messages &&
-           a.traffic.p2p_equivalent_bytes == b.traffic.p2p_equivalent_bytes;
-  }
 
  private:
   /// chain <- SHA256(chain || encode(request, outcome)). The encoding is

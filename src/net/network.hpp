@@ -140,6 +140,7 @@ struct TrafficStats {
   std::uint64_t p2p_equivalent_messages = 0;
   std::uint64_t p2p_equivalent_bytes = 0;
 
+  friend bool operator==(const TrafficStats&, const TrafficStats&) = default;
   TrafficStats& operator+=(const TrafficStats& o) {
     unicast_messages += o.unicast_messages;
     unicast_bytes += o.unicast_bytes;

@@ -18,7 +18,7 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
 const char* to_string(LogLevel level);
 
-/// Process-wide logger. Thread-safe: ThreadPool workers (dmw/parallel.hpp)
+/// Process-wide logger. Thread-safe: ThreadPool workers (dmw/protocol.hpp)
 /// log concurrently, so the level gate is an atomic and sink swap + emission
 /// are serialized by a mutex — concurrent statements never interleave
 /// within a line and never race a set_sink(). Sinks must not log

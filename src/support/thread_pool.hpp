@@ -1,28 +1,17 @@
-// Fixed-size worker pool for the task-parallel auction engine.
+// Fixed-size work-stealing worker pool for the protocol engine.
 //
 // The DMW protocol runs m *independent* per-task Vickrey auctions (paper §4;
-// Thm. 11/12 costs are per task), so the natural units of parallelism are the
-// task index and, finer, the (agent, task-chunk) slice. The pool offers two
-// scheduling disciplines:
-//
-//   - static: parallel_for() hands each worker one contiguous, statically
-//     computed block of indices. The mapping worker -> indices is a pure
-//     function of (count, thread count), so a run's schedule of
-//     who-computes-what is reproducible — TSan reports and perf numbers are
-//     stable across runs.
-//   - dynamic (default): jobs are pushed onto per-worker deques and idle
-//     workers steal from the back of their victims' deques. parallel_for()
-//     becomes chunked self-scheduling, and submit()/drain() let a driver seed
-//     dependency chains whose continuation jobs are spawned *by workers* —
-//     the basis of the pipelined protocol engine, where a slow slice no
-//     longer stalls every sibling at a stage barrier.
-//
-// Which discipline runs is the `deterministic_schedule` knob (per pool;
-// default from the DMW_DETERMINISTIC_SCHEDULE env var, else dynamic). The
-// protocol's *results* are bit-identical either way — determinism of outputs
-// is carried by keyed per-(agent,task) randomness and deferred-failure
-// commit, not by the schedule — but the static mode pins the execution
-// interleaving itself when that is what you need to reproduce.
+// Thm. 11/12 costs are per task), so the natural unit of parallelism is the
+// (agent, task-chunk) slice. Jobs are pushed onto per-worker deques and idle
+// workers steal from the back of their victims' deques. parallel_for() is
+// chunked self-scheduling on top of that, and submit()/drain() let a driver
+// seed dependency chains whose continuation jobs are spawned *by workers* —
+// the basis of the pipelined protocol engine (dmw/protocol.hpp), where a slow
+// slice never stalls its siblings at a stage barrier. Which worker runs which
+// job is schedule-dependent; the protocol's results are not, because
+// determinism is carried by keyed per-(agent, task) randomness and
+// deferred-failure commit. The engine's inline executor (no pool at all) is
+// the fixed-order reference every pooled run is compared against.
 //
 // This is the only sanctioned threading primitive for protocol code: dmwlint's
 // `raw-thread` rule rejects direct std::thread/std::mutex/latch/semaphore use
@@ -35,13 +24,10 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -51,8 +37,7 @@
 
 namespace dmw {
 
-/// N persistent workers executing index-sharded jobs and stealable queued
-/// jobs.
+/// N persistent workers executing stealable queued jobs.
 ///
 /// Reentrancy contract: parallel_for() and drain() may only be called from
 /// the thread that owns the pool (never from inside a job — workers would
@@ -63,11 +48,11 @@ namespace dmw {
 /// a happens-before barrier between successive stages.
 class ThreadPool {
  public:
-  explicit ThreadPool(std::size_t threads,
-                      bool deterministic = deterministic_schedule_default())
-      : size_(threads == 0 ? 1 : threads),
-        deterministic_(deterministic),
-        queues_(make_queues(size_)) {
+  /// `deterministic` is inert and must be false; dmw_bench/ is its only
+  /// reader.
+  explicit ThreadPool(std::size_t threads, bool deterministic = false)
+      : size_(threads == 0 ? 1 : threads), queues_(make_queues(size_)) {
+    DMW_REQUIRE_MSG(!deterministic, "ThreadPool: static schedule was removed");
     workers_.reserve(size_);
     for (std::size_t w = 0; w < size_; ++w)
       workers_.emplace_back([this, w] { worker_loop(w); });
@@ -98,46 +83,15 @@ class ThreadPool {
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);
   }
 
-  /// Process-wide default for the `deterministic_schedule` knob: the
-  /// DMW_DETERMINISTIC_SCHEDULE env var ("1"/"true"/"on" enables), else off
-  /// (dynamic work stealing). CI's TSan job runs the suite under both.
-  static bool deterministic_schedule_default() {
-    const char* env = std::getenv("DMW_DETERMINISTIC_SCHEDULE");
-    if (env == nullptr) return false;
-    const std::string_view v(env);
-    return v == "1" || v == "true" || v == "on";
-  }
-
-  bool deterministic_schedule() const { return deterministic_; }
-
-  /// Flip the scheduling discipline. Only legal between batches (no
-  /// parallel_for or drain in flight) and from the owning thread.
-  void set_deterministic_schedule(bool on) {
-    DMW_REQUIRE_MSG(current_worker_id() == -1,
-                    "set_deterministic_schedule called from a worker");
-    DMW_REQUIRE_MSG(outstanding_.load(std::memory_order_acquire) == 0,
-                    "set_deterministic_schedule with jobs in flight");
-    deterministic_ = on;
-  }
-
   /// Run fn(i) for every i in [0, count). Blocks until all indices are done;
   /// the first exception thrown by any index is rethrown here after the
-  /// barrier.
-  ///
-  /// Static mode shards into contiguous blocks: worker w owns
-  /// [w*count/T, (w+1)*count/T). Dynamic mode seeds chunked jobs onto the
-  /// worker deques and lets stealing balance them; every index still runs
-  /// exactly once on exactly one worker, but which worker is
-  /// schedule-dependent.
+  /// barrier. Every index runs exactly once on exactly one worker; which
+  /// worker is schedule-dependent.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn) {
     if (count == 0) return;
     DMW_REQUIRE_MSG(current_worker_id() == -1,
                     "ThreadPool::parallel_for called from a worker");
-    if (deterministic_) {
-      parallel_for_static(count, fn);
-      return;
-    }
     // Chunked self-scheduling: ~4 chunks per worker bounds both the job
     // overhead (few, fat jobs) and the tail imbalance (enough chunks to
     // steal).
@@ -195,7 +149,7 @@ class ThreadPool {
     }
   }
 
-  /// Chunk width parallel_for uses in dynamic mode for `count` indices:
+  /// Chunk width parallel_for uses for `count` indices:
   /// max(1, count / (4 * workers)). Exposed so callers slicing their own
   /// fan-outs (the pipelined engine) agree with the pool's granularity.
   std::size_t chunk_size(std::size_t count) const {
@@ -215,26 +169,6 @@ class ThreadPool {
     std::vector<std::unique_ptr<WorkerQueue>> queues(count);
     for (auto& q : queues) q = std::make_unique<WorkerQueue>();
     return queues;
-  }
-
-  void parallel_for_static(std::size_t count,
-                           const std::function<void(std::size_t)>& fn) {
-    MutexLock lock(mutex_);
-    DMW_REQUIRE_MSG(job_fn_ == nullptr,
-                    "ThreadPool::parallel_for is not reentrant");
-    job_fn_ = &fn;
-    job_count_ = count;
-    pending_ = size_;
-    ++generation_;
-    wake_.notify_all();
-    while (pending_ != 0) done_.wait(mutex_);
-    job_fn_ = nullptr;
-    if (error_) {
-      std::exception_ptr error = error_;
-      error_ = nullptr;
-      lock.unlock();
-      std::rethrow_exception(error);
-    }
   }
 
   /// Pop from own front, else steal from victims' backs (round-robin scan
@@ -279,48 +213,17 @@ class ThreadPool {
 
   void worker_loop(std::size_t id) {
     t_worker_id = static_cast<int>(id);
-    std::uint64_t seen = 0;
     std::function<void()> job;
     for (;;) {
-      // Drain deque jobs first: continuations submitted by running jobs must
-      // make progress even while a static generation is pending.
       while (try_pop(id, job)) run_job(job);
-
-      const std::function<void(std::size_t)>* fn = nullptr;
-      std::size_t count = 0;
-      {
-        MutexLock lock(mutex_);
-        while (!stop_ && generation_ == seen &&
-               queued_.load(std::memory_order_acquire) == 0)
-          wake_.wait(mutex_);
-        if (stop_) return;
-        if (generation_ != seen) {
-          seen = generation_;
-          fn = job_fn_;
-          count = job_count_;
-        }
-      }
-      if (fn == nullptr) continue;  // woken for deque work
-      const std::size_t begin = id * count / size_;
-      const std::size_t end = (id + 1) * count / size_;
-      std::exception_ptr error;
-      try {
-        for (std::size_t i = begin; i < end; ++i) (*fn)(i);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      {
-        MutexLock lock(mutex_);
-        if (error && !error_) error_ = error;
-        if (--pending_ == 0) done_.notify_all();
-      }
+      MutexLock lock(mutex_);
+      while (!stop_ && queued_.load(std::memory_order_acquire) == 0)
+        wake_.wait(mutex_);
+      if (stop_) return;
     }
   }
 
   const std::size_t size_;
-  // dmwlint:allow(guarded-member) flipped only between batches, from the
-  // owning thread, with outstanding_ == 0 (runtime-checked above).
-  bool deterministic_;
   // Vector and pointees are built once in the ctor; each WorkerQueue's deque
   // is guarded by its own mutex.
   const std::vector<std::unique_ptr<WorkerQueue>> queues_;
@@ -331,17 +234,11 @@ class ThreadPool {
   CondVar wake_;
   CondVar done_;
 
-  // Static parallel_for state — every member below is guarded by mutex_;
-  // clang's capability analysis enforces it.
-  const std::function<void(std::size_t)>* job_fn_ DMW_GUARDED_BY(mutex_) =
-      nullptr;
-  std::size_t job_count_ DMW_GUARDED_BY(mutex_) = 0;
-  std::size_t pending_ DMW_GUARDED_BY(mutex_) = 0;
-  std::uint64_t generation_ DMW_GUARDED_BY(mutex_) = 0;
+  // Guarded by mutex_; clang's capability analysis enforces it.
   bool stop_ DMW_GUARDED_BY(mutex_) = false;
   std::exception_ptr error_ DMW_GUARDED_BY(mutex_);
 
-  // Dynamic scheduler state.
+  // Scheduler state.
   std::atomic<std::size_t> outstanding_{0};  ///< submitted, not yet finished
   std::atomic<std::size_t> queued_{0};       ///< submitted, not yet popped
   std::atomic<std::size_t> next_queue_{0};   ///< owner-submit round-robin

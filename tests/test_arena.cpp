@@ -1,7 +1,7 @@
 // Arena allocator: alignment, slab chaining, reset-reuse (the zero-growth
 // steady-state contract), oversized requests, the std-allocator adapter, and
 // per-worker isolation under the work-stealing pool (the TSan CI job runs
-// this file under both schedule modes).
+// this file).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -112,8 +112,7 @@ TEST(WorkerArenas, DriverUsesTrailingSlot) {
 
 // Each worker bumps only its own arena; the pattern written by one job is
 // still intact when the same worker's later jobs run, and reset_all() at the
-// drain() barrier is race-free. Run under both schedule modes by the TSan
-// job via DMW_DETERMINISTIC_SCHEDULE.
+// drain() barrier is race-free (the TSan job runs this).
 TEST(WorkerArenas, PerWorkerIsolationUnderStealing) {
   const std::size_t kWorkers = 4;
   ThreadPool pool(kWorkers);

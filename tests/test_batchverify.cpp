@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "dmw/batchverify.hpp"
-#include "dmw/parallel.hpp"
+#include "dmw/protocol.hpp"
 #include "dmw/strategies.hpp"
 #include "mech/minwork.hpp"
 

@@ -2,13 +2,12 @@
 // ledger a traced run exports (net/network.hpp) must equal the closed-form
 // honest-run expectations of exp/commexpect.hpp exactly — the executable
 // statement of Theorem 11's cost bookkeeping — and must be bit-identical
-// across thread counts and schedule disciplines.
+// across executors and thread counts.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "dmw/parallel.hpp"
 #include "dmw/protocol.hpp"
 #include "exp/commexpect.hpp"
 #include "mech/minwork.hpp"
@@ -156,7 +155,7 @@ TEST_F(CommLedger, LedgerBitIdenticalAcrossThreadsAndSchedules) {
   const auto instance =
       mech::make_uniform_instance(8, 3, params.bid_set(), rng);
 
-  // Sequential reference, already pinned to the closed form above.
+  // Inline-executor reference, already pinned to the closed form above.
   proto::RunConfig config;
   const auto reference = run_traced(params, instance, config);
   ASSERT_FALSE(reference.aborted);
@@ -164,20 +163,14 @@ TEST_F(CommLedger, LedgerBitIdenticalAcrossThreadsAndSchedules) {
   expect_rows_equal(reference.comm, expected_honest_comm(spec));
 
   for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const bool deterministic : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " deterministic=" + std::to_string(deterministic));
-      trace::Tracer::instance().reset();
-      trace::Tracer::instance().set_enabled(true);
-      proto::RunConfig parallel_config;
-      parallel_config.deterministic_schedule = deterministic;
-      const auto outcome =
-          proto::run_parallel_dmw(params, instance, threads, parallel_config);
-      trace::Tracer::instance().set_enabled(false);
-      ASSERT_FALSE(outcome.aborted);
-      expect_rows_equal(outcome.comm, reference.comm);
-    }
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    trace::Tracer::instance().reset();
+    trace::Tracer::instance().set_enabled(true);
+    const auto outcome = proto::run_parallel_dmw(params, instance, threads);
+    trace::Tracer::instance().set_enabled(false);
+    ASSERT_FALSE(outcome.aborted);
+    expect_rows_equal(outcome.comm, reference.comm);
   }
 }
 

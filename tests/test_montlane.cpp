@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "dmw/parallel.hpp"
 #include "dmw/polycommit.hpp"
+#include "dmw/protocol.hpp"
 #include "dmw/strategies.hpp"
 #include "mech/minwork.hpp"
 #include "numeric/montlane.hpp"

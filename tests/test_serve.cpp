@@ -1,8 +1,8 @@
 // Server mode: request-stream determinism, arrival statistics, the
 // steady-state contract (zero arena growth after warmup, allocation-free
 // bookkeeping via a counting operator new), and the identity contract
-// (per-auction Outcomes byte-identical to the one-shot sequential runner at
-// every thread count and schedule mode, pinned by the stream digest).
+// (per-auction Outcomes byte-identical to the inline executor at every
+// thread count, pinned by the stream digest).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,29 +18,54 @@
 // ---- Counting operator new -------------------------------------------------
 // Thread-local allocation counter: the steady-state tests assert that the
 // per-auction bookkeeping path (latency record + window summaries, arena
-// cycles) performs zero heap allocations once warmed up.
+// cycles) performs zero heap allocations once warmed up. The process-wide
+// live-block count lets the engine soak assert that auctions leak nothing.
 namespace {
 thread_local std::uint64_t t_allocations = 0;
+std::atomic<std::int64_t> g_live_blocks{0};
+
+void* counted_alloc(std::size_t size) noexcept {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p != nullptr) {
+    ++t_allocations;
+    g_live_blocks.fetch_add(1, std::memory_order_relaxed);
+  }
+  return p;
+}
+
+void* counted_new(std::size_t size) {
+  void* p = counted_alloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) g_live_blocks.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
-void* operator new(std::size_t size) {
-  ++t_allocations;
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+// Every replaceable form, nothrow included: a form left to the runtime would
+// pair its allocation with the counted free below (std::stable_partition's
+// temporary buffer uses nothrow new).
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
 }
-
-void* operator new[](std::size_t size) {
-  ++t_allocations;
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
 }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace dmw::proto {
 namespace {
@@ -156,11 +181,9 @@ TEST(Arena, SteadyStateCyclesAreAllocationFree) {
 // ---- Engine identity and steady state --------------------------------------
 
 ServeEngine<Group64>::Config engine_config(std::size_t threads,
-                                           bool deterministic,
                                            bool check_oneshot) {
   ServeEngine<Group64>::Config config;
   config.threads = threads;
-  config.deterministic_schedule = deterministic;
   config.check_oneshot = check_oneshot;
   return config;
 }
@@ -168,10 +191,8 @@ ServeEngine<Group64>::Config engine_config(std::size_t threads,
 /// Run `count` auctions through a fresh engine and return the stream digest.
 std::string run_stream_digest(const PublicParams<Group64>& params,
                               const std::vector<AuctionRequest>& stream,
-                              std::size_t threads, bool deterministic,
-                              bool check_oneshot) {
-  ServeEngine<Group64> engine(
-      params, engine_config(threads, deterministic, check_oneshot));
+                              std::size_t threads, bool check_oneshot) {
+  ServeEngine<Group64> engine(params, engine_config(threads, check_oneshot));
   for (const auto& request : stream) {
     const Outcome& outcome = engine.run_auction(request);
     EXPECT_FALSE(outcome.aborted) << "request " << request.id;
@@ -187,14 +208,15 @@ TEST(ServeEngine, OutcomesIdenticalToOneShotAcrossThreadsAndSchedules) {
   const auto stream =
       make_request_stream(10, 21, WorkloadKind::kUniform, arrivals);
 
-  // threads=1 with the sequential cross-check anchors the digest; every
-  // other (threads, schedule) combination must reproduce it bit for bit.
+  // threads=1 cross-checked against the inline executor anchors the
+  // digest; every other thread count must reproduce it bit for bit.
   const std::string anchor =
-      run_stream_digest(params, stream, 1, false, /*check_oneshot=*/true);
-  EXPECT_EQ(anchor, run_stream_digest(params, stream, 4, false,
-                                      /*check_oneshot=*/true));
-  EXPECT_EQ(anchor, run_stream_digest(params, stream, 4, true, false));
-  EXPECT_EQ(anchor, run_stream_digest(params, stream, 2, true, false));
+      run_stream_digest(params, stream, 1, /*check_oneshot=*/true);
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    EXPECT_EQ(anchor, run_stream_digest(params, stream, threads,
+                                        /*check_oneshot=*/true))
+        << "threads=" << threads;
+  }
 }
 
 TEST(ServeEngine, MixedWorkloadStreamStaysIdentical) {
@@ -204,8 +226,8 @@ TEST(ServeEngine, MixedWorkloadStreamStaysIdentical) {
                                 WorkloadKind::kTask, WorkloadKind::kWorst};
   for (std::uint64_t i = 0; i < 8; ++i)
     stream.push_back(AuctionRequest{i, 5 + i, kinds[i % 4], 0});
-  const std::string anchor = run_stream_digest(params, stream, 1, false, true);
-  EXPECT_EQ(anchor, run_stream_digest(params, stream, 4, false, false));
+  const std::string anchor = run_stream_digest(params, stream, 1, true);
+  EXPECT_EQ(anchor, run_stream_digest(params, stream, 4, false));
 }
 
 TEST(ServeEngine, SteadyStateHasZeroArenaGrowth) {
@@ -213,14 +235,17 @@ TEST(ServeEngine, SteadyStateHasZeroArenaGrowth) {
   ArrivalProcess arrivals(ArrivalProcess::Mode::kAsap, 0.0, 0);
   const auto stream =
       make_request_stream(60, 3, WorkloadKind::kUniform, arrivals);
-  ServeEngine<Group64> engine(params, engine_config(2, false, false));
+  ServeEngine<Group64> engine(params, engine_config(2, false));
 
   const std::size_t warmup = 8;
   std::size_t slabs_at_warmup = 0;
+  std::int64_t live_blocks_at_warmup = 0;
   for (const auto& request : stream) {
     engine.run_auction(request);
-    if (engine.auctions() == warmup)
+    if (engine.auctions() == warmup) {
       slabs_at_warmup = engine.arena_stats().slab_allocations;
+      live_blocks_at_warmup = g_live_blocks.load();
+    }
   }
   EXPECT_EQ(engine.aborted(), 0u);
   const auto arena = engine.arena_stats();
@@ -228,6 +253,11 @@ TEST(ServeEngine, SteadyStateHasZeroArenaGrowth) {
   EXPECT_EQ(arena.slab_allocations, slabs_at_warmup)
       << "steady state allocated new arena slabs after warmup";
   EXPECT_EQ(arena.resets, 60u * engine.arenas().size());
+  // No auction may leave heap blocks behind: a per-epoch leak would grow
+  // the live count by at least one block per auction.
+  EXPECT_LT(g_live_blocks.load() - live_blocks_at_warmup,
+            static_cast<std::int64_t>(stream.size() - warmup))
+      << "heap blocks leaked across steady-state auctions";
 }
 
 TEST(ServeEngine, AbortedAuctionsAreCountedAndDigested) {
@@ -235,7 +265,7 @@ TEST(ServeEngine, AbortedAuctionsAreCountedAndDigested) {
   // to fabricate honestly; instead check the bookkeeping contract directly:
   // honest streams count zero aborts and the digest moves per auction.
   const auto params = PublicParams<Group64>::make(grp(), 4, 1, 1, 13);
-  ServeEngine<Group64> engine(params, engine_config(1, false, false));
+  ServeEngine<Group64> engine(params, engine_config(1, false));
   const std::string empty = engine.outcome_digest();
   engine.run_auction(AuctionRequest{0, 13, WorkloadKind::kUniform, 0});
   const std::string one = engine.outcome_digest();

@@ -199,7 +199,7 @@ TEST(Logging, LevelNames) {
 }
 
 TEST(Logging, ConcurrentStatementsDoNotInterleave) {
-  // ThreadPool workers log concurrently (dmw/parallel.hpp does exactly
+  // ThreadPool workers log concurrently (dmw/protocol.hpp does exactly
   // this); every emitted line must arrive at the sink whole, and a
   // concurrent set_level() must not tear. The sink runs under the logger's
   // emission mutex, so the capture vector needs no lock of its own.

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "dmw/parallel.hpp"
 #include "dmw/protocol.hpp"
 #include "dmw/strategies.hpp"
 #include "mech/minwork.hpp"
@@ -258,8 +257,8 @@ TEST_F(Trace, RunReportBitIdenticalAcrossThreadCountsAndEngines) {
     EXPECT_EQ(json, reference) << "threads=" << threads;
   }
 
-  // The sequential driver reproduces the identical report: the spans and
-  // metrics are a property of the protocol, not of the execution engine.
+  // The inline executor reproduces the identical report: the spans and
+  // metrics are a property of the protocol, not of the executor.
   tracer.set_clock_mode(ClockMode::kLogical);
   tracer.reset();
   const auto outcome = proto::run_honest_dmw(params, instance);

@@ -19,7 +19,6 @@
 // absolute lane floors whenever simd.backend == "scalar".
 //
 // Usage: bench_json [--out FILE] [--quick] [--stdout]
-#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -37,38 +36,14 @@
 
 namespace {
 
-using dmw::Stopwatch;
 using dmw::Xoshiro256ss;
 using dmw::num::Group256;
 using dmw::num::Group64;
 
 double g_min_seconds = 0.05;
 
-/// ns/op of `fn`: batch-calibrated to g_min_seconds windows, then the
-/// fastest of several windows. The minimum is the least-interfered
-/// measurement of deterministic code — on shared hosts the machine speed
-/// drifts on sub-second timescales, and a single mean window hands each
-/// metric a different slice of that drift, distorting every derived ratio
-/// (the pow_batch and multiexp speedups most of all).
 double bench_ns(const std::function<void()>& fn) {
-  fn();  // warm-up (builds any lazy state, touches caches)
-  std::size_t iters = 1;
-  double window = 0;
-  for (;;) {
-    Stopwatch timer;
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    window = timer.seconds();
-    if (window >= g_min_seconds || iters >= (std::size_t(1) << 30)) break;
-    // Aim past the threshold with headroom; cap growth at 16x per round.
-    const double scale = window > 0 ? g_min_seconds / window * 1.5 : 16.0;
-    iters *= static_cast<std::size_t>(std::min(16.0, std::max(2.0, scale)));
-  }
-  for (int extra = 0; extra < 4; ++extra) {
-    Stopwatch timer;
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    window = std::min(window, timer.seconds());
-  }
-  return window * 1e9 / static_cast<double>(iters);
+  return dmw::bench_ns(fn, g_min_seconds);
 }
 
 /// One backend's measurements. `sink` defeats dead-code elimination: every

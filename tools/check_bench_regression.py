@@ -498,7 +498,7 @@ def check_serve(baseline, fresh, tolerance):
     # The report only compares apples to apples: the whole run configuration
     # is part of the identity, not something to drift past silently.
     for key in ("label", "n", "m", "c", "auctions", "warmup", "workload",
-                "arrivals", "threads", "schedule"):
+                "arrivals", "threads"):
         if baseline.get(key) != fresh.get(key):
             schema_error(f"serve config mismatch on '{key}': baseline "
                          f"{baseline.get(key)!r} vs fresh {fresh.get(key)!r}")

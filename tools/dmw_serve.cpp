@@ -52,11 +52,8 @@ options:
                        the engine lags the offered load
   --rate R             arrivals per second for fixed/poisson (default 100)
   --threads T          engine workers (0 = hardware concurrency; default 1)
-  --schedule S         dynamic | static (default honours
-                       DMW_DETERMINISTIC_SCHEDULE). Outcomes and the stream
-                       digest are bit-identical either way
-  --check-oneshot      re-run every auction through the sequential one-shot
-                       runner and require field-identical Outcomes
+  --check-oneshot      re-run every auction on the inline executor (the
+                       one-shot runner) and require identical Outcomes
   --plain              disable AEAD-sealed private channels
   --interval K         snapshot cadence in auctions (default 256)
   --report-out FILE    write the serve-report JSON to FILE
@@ -201,15 +198,6 @@ int run_serve(G group, const Flags& flags) {
   config.threads = flags.get_u64("threads", 1);
   config.encrypt_channels = !flags.get_bool("plain");
   config.check_oneshot = flags.get_bool("check-oneshot");
-  if (flags.has("schedule")) {
-    const std::string schedule = flags.get_string("schedule", "dynamic");
-    DMW_REQUIRE_MSG(schedule == "dynamic" || schedule == "static",
-                    "--schedule must be dynamic or static");
-    config.deterministic_schedule = schedule == "static";
-  } else {
-    config.deterministic_schedule =
-        dmw::ThreadPool::deterministic_schedule_default();
-  }
   dmw::proto::ServeEngine<G> engine(params, config);
 
   dmw::proto::LatencyRecorder latencies(total);
@@ -302,7 +290,6 @@ int run_serve(G group, const Flags& flags) {
   w.field("arrivals", arrivals_name);
   if (arrival_mode != ArrivalProcess::Mode::kAsap) w.field("rate_hz", rate_hz);
   w.field("threads", std::uint64_t{engine.threads()});
-  w.field("schedule", config.deterministic_schedule ? "static" : "dynamic");
   w.field("hardware_concurrency",
           std::uint64_t{dmw::ThreadPool::default_thread_count()});
   w.field("auctions", total);
@@ -367,11 +354,10 @@ int run_serve(G group, const Flags& flags) {
   if (!flags.get_bool("json")) {
     std::printf("%s\n", params.describe().c_str());
     std::printf("serve: %llu auctions (%llu warmup), %s arrivals, "
-                "%zu worker(s), %s schedule\n",
+                "%zu worker(s)\n",
                 static_cast<unsigned long long>(total),
                 static_cast<unsigned long long>(warmup),
-                arrivals_name.c_str(), engine.threads(),
-                config.deterministic_schedule ? "static" : "dynamic");
+                arrivals_name.c_str(), engine.threads());
     std::printf("throughput: %.1f auctions/s over %.3fs steady state\n",
                 throughput, steady_wall_s);
     std::printf("latency ms: mean %.3f | p50 %.3f | p95 %.3f | p99 %.3f | "
@@ -398,7 +384,7 @@ int main(int argc, char** argv) {
     const Flags flags(argc, argv,
                       {"n", "m", "c", "seed", "workload", "backend", "p-bits",
                        "auctions", "warmup", "workload-file", "arrivals",
-                       "rate", "threads", "schedule", "check-oneshot!",
+                       "rate", "threads", "check-oneshot!",
                        "plain!", "interval", "report-out", "snapshots-out",
                        "telemetry-out", "json!", "help!"});
     if (flags.get_bool("help")) {

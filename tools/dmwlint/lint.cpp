@@ -492,9 +492,8 @@ void rule_banned_pattern(const SourceFile& file,
 
 /// Protocol code (src/dmw, src/exp) must not reach for raw threading
 /// primitives: all parallelism goes through support/thread_pool.hpp, whose
-/// scheduling (static sharding or audited deque/steal) is what makes
-/// parallel runs bit-identical to sequential ones and keeps the TSan CI job
-/// meaningful. The ban covers the deque/steal building blocks too —
+/// audited deque/steal scheduling is what makes pooled runs bit-identical
+/// to inline ones and keeps the TSan CI job meaningful. The ban covers the deque/steal building blocks too —
 /// hand-rolled work queues (std::latch/barrier/semaphore joins, promise/
 /// future plumbing) would sit outside the pool's epoch accounting and span
 /// flushing.
@@ -534,8 +533,8 @@ void rule_raw_thread(const SourceFile& file, std::vector<Finding>& findings) {
       report(findings, file, i, "raw-thread",
              "raw threading primitive '" + it->str() +
                  "' in protocol code: parallelism goes through "
-                 "support/thread_pool.hpp (ThreadPool), whose deterministic "
-                 "sharding keeps parallel runs bit-identical and TSan-clean");
+                 "support/thread_pool.hpp (ThreadPool), whose audited "
+                 "scheduler keeps parallel runs bit-identical and TSan-clean");
     }
   }
 }
@@ -965,10 +964,9 @@ void rule_guarded_member(const SourceFile& file,
 // ---- rule: thread-id-sink --------------------------------------------------
 
 /// The bit-identity contract: Outcomes, abort streams, transcripts and
-/// RunReports are byte-identical across thread counts and schedule modes.
-/// Its static form: no thread-identity value — std::this_thread::get_id(),
-/// a ThreadPool worker index, a schedule-mode flag, the machine's hardware
-/// concurrency — may flow into a transcript hash, an Outcome, or a
+/// RunReports are byte-identical across thread counts and executors. Its
+/// static form: no thread-identity value — std::this_thread::get_id(), a
+/// ThreadPool worker index, the machine's hardware concurrency — may flow into a transcript hash, an Outcome, or a
 /// report/JSON field. Worker ids addressing per-worker accumulator slots
 /// are fine (that is what current_worker_id() is for); worker ids *in the
 /// output* are not. src/support is out of scope (the Chrome-trace exporter
@@ -997,7 +995,7 @@ void rule_thread_id_sink(const SourceFile& file,
                                 has_adjacent(file, "src", "crypto");
   if (!protocol_visible) return;
   static const std::regex source_re(
-      R"(\bcurrent_worker_id\s*\(|\bdeterministic_schedule\s*\(|\bhardware_concurrency\s*\(|\bt_worker_id\b)");
+      R"(\bcurrent_worker_id\s*\(|\bhardware_concurrency\s*\(|\bt_worker_id\b)");
   // Calls and constructions only — a bare type name in a signature is not a
   // data flow.
   static const std::regex sink_re(
@@ -1018,10 +1016,9 @@ void rule_thread_id_sink(const SourceFile& file,
     }
     if (std::regex_search(statement, source_re)) {
       report(findings, file, i, "thread-id-sink",
-             "thread-identity value (worker id / schedule mode / hardware "
-             "concurrency) in the same statement as a transcript/report "
-             "sink: outputs must be bit-identical across thread counts "
-             "and schedule modes");
+             "thread-identity value (worker id / hardware concurrency) in "
+             "the same statement as a transcript/report sink: outputs must "
+             "be bit-identical across thread counts and executors");
       i = last;
     }
   }

@@ -42,9 +42,9 @@
 //                    allow comment) — keeps the capability model complete
 //                    even on compilers that ignore the attributes.
 //   thread-id-sink   no std::this_thread::get_id() anywhere, and no worker
-//                    id / schedule mode / hardware_concurrency in the same
-//                    statement as a transcript/report sink: outputs are
-//                    byte-identical across thread counts by contract.
+//                    id / hardware_concurrency in the same statement as a
+//                    transcript/report sink: outputs are byte-identical
+//                    across thread counts by contract.
 //   raw-send         a SimNetwork send()/publish() whose kind argument is a
 //                    bare integer literal (outside tests/) bypasses the
 //                    registered kind vocabulary the traffic ledger,
