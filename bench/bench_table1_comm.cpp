@@ -10,8 +10,9 @@
 // sweep point the DMW run is traced, its communication ledger
 // (net/network.hpp) is collapsed per kind, and each kind is compared
 // against the closed-form honest-run expectation of exp/commexpect.hpp.
-// Counts are machine-independent, so tools/check_bench_regression.py gates
-// the checked-in baseline with exact equality (`comm` schema).
+// Counts are machine-independent, so the checked-in baseline's `gates`
+// block holds them with `equal` rules (exact equality), which
+// tools/check_bench_regression.py interprets.
 //
 // Usage: bench_table1_comm [--out FILE] [--quick] [--stdout]
 #include <cstdio>

@@ -1,6 +1,7 @@
 #include "crypto/aead.hpp"
 
 #include <cstring>
+#include <string_view>
 
 #include "crypto/chacha.hpp"
 #include "crypto/sha256.hpp"
@@ -11,39 +12,17 @@ namespace dmw::crypto {
 
 namespace {
 
-// Domain-separated subkeys: one for the cipher, one for the MAC. Both live
-// behind the secret-hygiene wrapper so they are wiped when sealing returns.
-struct SubKeys {
-  AeadKey enc;
-  AeadKey mac;
-};
-
-SubKeys derive_subkeys(const AeadKey& key) {
-  SubKeys keys;
-  auto enc = hkdf_sha256(key.reveal(), {}, "dmw-aead-enc", 32);
-  auto mac = hkdf_sha256(key.reveal(), {}, "dmw-aead-mac", 32);
-  keys.enc = make_aead_key(enc);
-  keys.mac = make_aead_key(mac);
-  zeroize(enc);
-  zeroize(mac);
-  return keys;
+// Domain-separated subkeys: one for the cipher, one for the MAC.
+AeadKey derive_subkey(const AeadKey& key, std::string_view info) {
+  auto bytes = hkdf_sha256(key.reveal(), {}, info, kAeadKeyBytes);
+  AeadKey subkey = make_aead_key(bytes);
+  zeroize(bytes);
+  return subkey;
 }
 
-Digest256 compute_tag(const AeadKey& mac_key, std::uint64_t nonce,
-                      std::span<const std::uint8_t> ciphertext,
-                      std::span<const std::uint8_t> aad) {
-  // MAC input: len(aad) || aad || nonce || ciphertext (length framing
-  // prevents boundary ambiguity).
-  std::vector<std::uint8_t> input;
-  input.reserve(16 + aad.size() + ciphertext.size());
+void put_le64(std::array<std::uint8_t, 8>& out, std::uint64_t value) {
   for (int i = 0; i < 8; ++i)
-    input.push_back(static_cast<std::uint8_t>(
-        static_cast<std::uint64_t>(aad.size()) >> (8 * i)));
-  input.insert(input.end(), aad.begin(), aad.end());
-  for (int i = 0; i < 8; ++i)
-    input.push_back(static_cast<std::uint8_t>(nonce >> (8 * i)));
-  input.insert(input.end(), ciphertext.begin(), ciphertext.end());
-  return hmac_sha256(mac_key.reveal(), input);
+    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
 }
 
 }  // namespace
@@ -81,31 +60,65 @@ void chacha20_xor(std::span<const std::uint8_t> key32, std::uint64_t nonce,
   zeroize(block);
 }
 
+AeadChannel::AeadChannel(const AeadKey& key)
+    : enc_(derive_subkey(key, "dmw-aead-enc")),
+      mac_(derive_subkey(key, "dmw-aead-mac").reveal()) {}
+
+Digest256 AeadChannel::tag(std::uint64_t nonce,
+                           std::span<const std::uint8_t> ciphertext,
+                           std::span<const std::uint8_t> aad) const {
+  // MAC input: len(aad) || aad || nonce || ciphertext (length framing
+  // prevents boundary ambiguity), streamed into the primed inner hash.
+  std::array<std::uint8_t, 8> word;
+  Sha256 inner = mac_.begin();
+  put_le64(word, aad.size());
+  inner.update(word);
+  inner.update(aad);
+  put_le64(word, nonce);
+  inner.update(word);
+  inner.update(ciphertext);
+  return mac_.finish(inner);
+}
+
+void AeadChannel::seal(std::uint64_t nonce,
+                       std::span<const std::uint8_t> plaintext,
+                       std::span<const std::uint8_t> aad,
+                       std::vector<std::uint8_t>& out) const {
+  const std::size_t start = out.size();
+  out.reserve(start + plaintext.size() + kAeadTagBytes);
+  out.insert(out.end(), plaintext.begin(), plaintext.end());
+  const auto ciphertext = std::span<std::uint8_t>(out).subspan(start);
+  chacha20_xor(enc_.reveal(), nonce, ciphertext);
+  const Digest256 t = tag(nonce, ciphertext, aad);
+  out.insert(out.end(), t.begin(), t.begin() + kAeadTagBytes);
+}
+
+std::optional<std::vector<std::uint8_t>> AeadChannel::open(
+    std::uint64_t nonce, std::span<const std::uint8_t> sealed,
+    std::span<const std::uint8_t> aad) const {
+  if (sealed.size() < kAeadTagBytes) return std::nullopt;
+  const auto ciphertext = sealed.first(sealed.size() - kAeadTagBytes);
+  const Digest256 expected = tag(nonce, ciphertext, aad);
+  if (!ct_eq(sealed.last(kAeadTagBytes),
+             std::span<const std::uint8_t>(expected.data(), kAeadTagBytes)))
+    return std::nullopt;
+  std::vector<std::uint8_t> out(ciphertext.begin(), ciphertext.end());
+  chacha20_xor(enc_.reveal(), nonce, out);
+  return out;
+}
+
 std::vector<std::uint8_t> aead_seal(const AeadKey& key, std::uint64_t nonce,
                                     std::span<const std::uint8_t> plaintext,
                                     std::span<const std::uint8_t> aad) {
-  const SubKeys keys = derive_subkeys(key);
-  std::vector<std::uint8_t> out(plaintext.begin(), plaintext.end());
-  chacha20_xor(keys.enc.reveal(), nonce, out);
-  const Digest256 tag = compute_tag(keys.mac, nonce, out, aad);
-  out.insert(out.end(), tag.begin(), tag.begin() + kAeadTagBytes);
+  std::vector<std::uint8_t> out;
+  AeadChannel(key).seal(nonce, plaintext, aad, out);
   return out;
 }
 
 std::optional<std::vector<std::uint8_t>> aead_open(
     const AeadKey& key, std::uint64_t nonce,
     std::span<const std::uint8_t> sealed, std::span<const std::uint8_t> aad) {
-  if (sealed.size() < kAeadTagBytes) return std::nullopt;
-  const SubKeys keys = derive_subkeys(key);
-  const auto ciphertext = sealed.first(sealed.size() - kAeadTagBytes);
-  const auto tag = sealed.last(kAeadTagBytes);
-  const Digest256 expected = compute_tag(keys.mac, nonce, ciphertext, aad);
-  if (!ct_eq(tag, std::span<const std::uint8_t>(expected.data(),
-                                                kAeadTagBytes)))
-    return std::nullopt;
-  std::vector<std::uint8_t> out(ciphertext.begin(), ciphertext.end());
-  chacha20_xor(keys.enc.reveal(), nonce, out);
-  return out;
+  return AeadChannel(key).open(nonce, sealed, aad);
 }
 
 }  // namespace dmw::crypto

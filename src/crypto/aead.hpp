@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "support/secret.hpp"
 
 namespace dmw::crypto {
@@ -32,14 +33,45 @@ AeadKey make_aead_key(std::span<const std::uint8_t> bytes);
 void chacha20_xor(std::span<const std::uint8_t> key32, std::uint64_t nonce,
                   std::span<std::uint8_t> data);
 
-/// Seal: returns ciphertext || tag. `aad` is authenticated but not
-/// encrypted (the channel layer binds sender, receiver and message kind).
+/// One directed channel's sealing state, derived once from its AeadKey: the
+/// ChaCha20 subkey and the HMAC-SHA256 midstates of the MAC subkey, all
+/// key-equivalent and Secret-wrapped. Sealing with it is byte for byte
+/// aead_seal under the same key, minus the two HKDFs and the two pad
+/// compressions that a one-shot call pays per message. Immutable after
+/// construction, so concurrent seal/open calls on one object are safe.
+class AeadChannel {
+ public:
+  explicit AeadChannel(const AeadKey& key);
+
+  /// Append ciphertext || tag to `out` (which may already hold a wire
+  /// prefix). `aad` is authenticated but not encrypted (the channel layer
+  /// binds sender, receiver and message kind).
+  void seal(std::uint64_t nonce, std::span<const std::uint8_t> plaintext,
+            std::span<const std::uint8_t> aad,
+            std::vector<std::uint8_t>& out) const;
+
+  /// Verify the tag (constant-time comparison) and decrypt. Returns nullopt
+  /// on any authentication failure.
+  std::optional<std::vector<std::uint8_t>> open(
+      std::uint64_t nonce, std::span<const std::uint8_t> sealed,
+      std::span<const std::uint8_t> aad) const;
+
+ private:
+  Digest256 tag(std::uint64_t nonce, std::span<const std::uint8_t> ciphertext,
+                std::span<const std::uint8_t> aad) const;
+
+  AeadKey enc_;
+  HmacSha256 mac_;
+};
+
+/// Seal: returns ciphertext || tag. One-shot: derives the channel state for
+/// this single message (callers sealing many messages under one key keep an
+/// AeadChannel instead).
 std::vector<std::uint8_t> aead_seal(const AeadKey& key, std::uint64_t nonce,
                                     std::span<const std::uint8_t> plaintext,
                                     std::span<const std::uint8_t> aad);
 
-/// Open: verifies the tag (constant-time comparison) and decrypts.
-/// Returns nullopt on any authentication failure.
+/// Open: the one-shot counterpart of AeadChannel::open.
 std::optional<std::vector<std::uint8_t>> aead_open(
     const AeadKey& key, std::uint64_t nonce,
     std::span<const std::uint8_t> sealed, std::span<const std::uint8_t> aad);

@@ -152,5 +152,31 @@ TEST(AeadKey, MakeFromBytesAndCompare) {
   EXPECT_FALSE(ct_eq(key, crypto::make_aead_key(other)));
 }
 
+// The per-channel AEAD state (ChaCha20 subkey + HMAC midstates) is
+// key-equivalent: destruction and move must leave no byte of it behind.
+TEST(AeadChannel, DestructionAndMoveClearTheState) {
+  std::vector<std::uint8_t> bytes(crypto::kAeadKeyBytes, 0x42);
+  const auto key = crypto::make_aead_key(bytes);
+  const auto is_zero = [](const crypto::AeadChannel& channel) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&channel);
+    for (std::size_t i = 0; i < sizeof(channel); ++i)
+      if (p[i] != 0) return false;
+    return true;
+  };
+
+  alignas(crypto::AeadChannel) unsigned char
+      storage[sizeof(crypto::AeadChannel)];
+  std::memset(storage, 0x5A, sizeof(storage));
+  auto* channel = new (storage) crypto::AeadChannel(key);
+  EXPECT_FALSE(is_zero(*channel));
+  crypto::AeadChannel moved(std::move(*channel));
+  EXPECT_TRUE(is_zero(*channel));  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(is_zero(moved));
+  *channel = std::move(moved);
+  EXPECT_TRUE(is_zero(moved));  // NOLINT(bugprone-use-after-move)
+  channel->~AeadChannel();
+  for (unsigned char byte : storage) EXPECT_EQ(byte, 0);
+}
+
 }  // namespace
 }  // namespace dmw

@@ -15,8 +15,9 @@
 // (SimdMode::kOff). The emitted `simd` object records which kernel the
 // measuring machine actually dispatched: on a host with no vector unit
 // kAuto degenerates to the scalar path and pow_batch_speedup is honestly
-// ~1.0x, which is why check_bench_regression.py skips the hand-added
-// absolute lane floors whenever simd.backend == "scalar".
+// ~1.0x, which is why BENCH_commit.json's `min` floor on pow_batch_speedup
+// carries `requires: {"simd": true}` in its `gates` block:
+// check_bench_regression.py skips it whenever simd.backend == "scalar".
 //
 // Usage: bench_json [--out FILE] [--quick] [--stdout]
 #include <cstdio>
