@@ -31,6 +31,13 @@
 // across set_simd(on/off), and the modular-multiplication accounting
 // (opcount.hpp) already credits one `mul` per lane-slot either way.
 //
+// The same header hosts one non-lane kernel: the SHA-256 compression on the
+// x86 SHA extensions (sha256_compress_shani), compiled only under
+// DMW_SIMD_X86 with a target attribute and selected by sha_ni_active(),
+// latched like active_backend(). crypto/sha256.cpp dispatches to it and
+// keeps the portable compression as its test reference and the only path
+// on CPUs without SHA and under DMW_SIMD=0.
+//
 // This is the only file in the tree allowed to include vendor intrinsic
 // headers; dmwlint's include-hygiene rule enforces the confinement.
 #pragma once
@@ -230,6 +237,120 @@ inline void mont_mul_lanes_neon(const u64* a, const u64* b, u64 n, u64 ninv,
 }
 
 #endif  // DMW_SIMD_NEON
+
+// ---- SHA-256 compression (SHA extensions) ----------------------------------
+
+#if defined(DMW_SIMD_X86)
+
+#if defined(__SHA__) && defined(__SSE4_1__)
+#define DMW_TARGET_SHA
+#else
+#define DMW_TARGET_SHA __attribute__((target("sha,sse4.1")))
+#endif
+
+/// Four SHA-256 rounds: add round constants k[4i..4i+3] to the schedule
+/// words `w` and run two sha256rnds2 (each retires two rounds on the
+/// ABEF/CDGH state halves).
+DMW_TARGET_SHA inline void sha256_rounds4_shani(__m128i& abef, __m128i& cdgh,
+                                                __m128i w,
+                                                const std::uint32_t* k) {
+  const __m128i wk =
+      _mm_add_epi32(w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(k)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+/// The next four schedule words W[t..t+3] from W[t-16..t-1], held as
+/// w0 = W[t-16..t-13], w1, w2, w3 = W[t-4..t-1]:
+/// W[t] = sigma1(W[t-2]) + W[t-7] + sigma0(W[t-15]) + W[t-16].
+DMW_TARGET_SHA inline __m128i sha256_schedule4_shani(__m128i w0, __m128i w1,
+                                                     __m128i w2, __m128i w3) {
+  const __m128i partial =
+      _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(partial, w3);
+}
+
+/// One FIPS 180-4 compression of a 64-byte block into state[0..7] (a..h),
+/// on the SHA extensions; `k` is the 64-entry round-constant table. Same
+/// contract as the portable compression in crypto/sha256.cpp, which is its
+/// test reference. Straight-line: no branch on state or message words.
+DMW_TARGET_SHA inline void sha256_compress_shani(std::uint32_t* state,
+                                                 const std::uint8_t* block,
+                                                 const std::uint32_t* k) {
+  // Big-endian message words: byte-swap each 32-bit lane.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // a..h -> the ABEF / CDGH lane layout sha256rnds2 works on.
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  const auto* words = reinterpret_cast<const __m128i*>(block);
+  __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(words + 0), bswap);
+  __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(words + 1), bswap);
+  __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(words + 2), bswap);
+  __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(words + 3), bswap);
+  sha256_rounds4_shani(abef, cdgh, w0, k + 0);
+  sha256_rounds4_shani(abef, cdgh, w1, k + 4);
+  sha256_rounds4_shani(abef, cdgh, w2, k + 8);
+  sha256_rounds4_shani(abef, cdgh, w3, k + 12);
+  w0 = sha256_schedule4_shani(w0, w1, w2, w3);
+  sha256_rounds4_shani(abef, cdgh, w0, k + 16);
+  w1 = sha256_schedule4_shani(w1, w2, w3, w0);
+  sha256_rounds4_shani(abef, cdgh, w1, k + 20);
+  w2 = sha256_schedule4_shani(w2, w3, w0, w1);
+  sha256_rounds4_shani(abef, cdgh, w2, k + 24);
+  w3 = sha256_schedule4_shani(w3, w0, w1, w2);
+  sha256_rounds4_shani(abef, cdgh, w3, k + 28);
+  w0 = sha256_schedule4_shani(w0, w1, w2, w3);
+  sha256_rounds4_shani(abef, cdgh, w0, k + 32);
+  w1 = sha256_schedule4_shani(w1, w2, w3, w0);
+  sha256_rounds4_shani(abef, cdgh, w1, k + 36);
+  w2 = sha256_schedule4_shani(w2, w3, w0, w1);
+  sha256_rounds4_shani(abef, cdgh, w2, k + 40);
+  w3 = sha256_schedule4_shani(w3, w0, w1, w2);
+  sha256_rounds4_shani(abef, cdgh, w3, k + 44);
+  w0 = sha256_schedule4_shani(w0, w1, w2, w3);
+  sha256_rounds4_shani(abef, cdgh, w0, k + 48);
+  w1 = sha256_schedule4_shani(w1, w2, w3, w0);
+  sha256_rounds4_shani(abef, cdgh, w1, k + 52);
+  w2 = sha256_schedule4_shani(w2, w3, w0, w1);
+  sha256_rounds4_shani(abef, cdgh, w2, k + 56);
+  w3 = sha256_schedule4_shani(w3, w0, w1, w2);
+  sha256_rounds4_shani(abef, cdgh, w3, k + 60);
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  // ABEF / CDGH -> a..h.
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // DMW_SIMD_X86
+
+/// True when this process compresses SHA-256 blocks with
+/// sha256_compress_shani (latched on first call, like active_backend(); a
+/// function-local static, so static-init order cannot bite). Independent
+/// of SimdMode: both compressions give the same bytes, so there is no
+/// policy to choose.
+inline bool sha_ni_active() {
+#if defined(DMW_SIMD_X86)
+  static const bool active =
+      __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  return active;
+#else
+  return false;
+#endif
+}
 
 // ---- runtime dispatch ------------------------------------------------------
 

@@ -362,8 +362,9 @@ struct RunReport {
   std::vector<HistogramSnapshot> histograms;
   std::uint64_t events_dropped = 0;
 
-  /// Render the report. Top-level tag `"bench": "runreport"` lets
-  /// tools/check_bench_regression.py dispatch on it like the bench JSONs.
+  /// Render the report. The top-level tag `"bench": "runreport"` is what
+  /// the `identity` rule in BENCH_runreport.json's `gates` block compares,
+  /// so tools/check_bench_regression.py refuses other reports (exit 3).
   std::string json() const;
 };
 
