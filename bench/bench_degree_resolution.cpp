@@ -2,7 +2,10 @@
 //
 // google-benchmark microbenchmarks for scalar interpolation, full scalar
 // resolution, and exponent-domain resolution (the Eq. (12) path), plus a
-// complexity fit over s.
+// complexity fit over s. Exponent-domain resolution is timed two ways:
+// over prefix bases built once outside the timed loop (what a protocol task
+// pays — PublicParams holds the pseudonym set's bases), and from raw points
+// (bases built per call, what a crash-gap resolution pays).
 #include <benchmark/benchmark.h>
 
 #include "poly/lagrange.hpp"
@@ -80,6 +83,22 @@ void BM_ResolveDegreeExponent(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(degree));
 }
 BENCHMARK(BM_ResolveDegreeExponent)
+    ->RangeMultiplier(2)
+    ->Range(2, 32)
+    ->Complexity();
+
+void BM_ResolveDegreeExponentPrebuilt(benchmark::State& state) {
+  const auto degree = static_cast<std::size_t>(state.range(0));
+  Fixture fx(degree);
+  const auto bases = dmw::poly::lagrange_prefix_bases(
+      fx.g, std::span<const std::uint64_t>(fx.points));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dmw::poly::resolve_degree_in_exponent(fx.g, bases, fx.lambdas));
+  }
+  state.SetComplexityN(static_cast<std::int64_t>(degree));
+}
+BENCHMARK(BM_ResolveDegreeExponentPrebuilt)
     ->RangeMultiplier(2)
     ->Range(2, 32)
     ->Complexity();

@@ -36,7 +36,8 @@ int main() {
       const auto r = run_repeated(instance, bids, agent, *policy, rounds);
       const auto gain = r.adaptive_total - r.truthful_total;
       if (gain > 0) unilateral_gain = true;
-      uni.row({policy->name(), "A" + std::to_string(agent + 1),
+      uni.row({policy->name(),
+               std::string(1, 'A').append(std::to_string(agent + 1)),
                std::to_string(r.adaptive_total),
                std::to_string(r.truthful_total), std::to_string(gain)});
     }

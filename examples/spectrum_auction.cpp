@@ -28,7 +28,7 @@ int main() {
   const std::vector<dmw::mech::Cost> valuations{4, 7, 2, 6, 1, 7, 3, 5, 2, 4};
   Table bids_table({"bidder", "valuation (= bid)"});
   for (std::size_t i = 0; i < bidders; ++i)
-    bids_table.row({"B" + std::to_string(i + 1),
+    bids_table.row({std::string(1, 'B').append(std::to_string(i + 1)),
                     Table::num(std::uint64_t{valuations[i]})});
   bids_table.print();
 
@@ -44,7 +44,8 @@ int main() {
   Table winners({"rank", "winner", "bid", "pays", "surplus"});
   for (std::size_t r = 0; r < outcome.winners.size(); ++r) {
     const std::size_t w = outcome.winners[r];
-    winners.row({Table::num(r + 1), "B" + std::to_string(w + 1),
+    winners.row({Table::num(r + 1),
+                 std::string(1, 'B').append(std::to_string(w + 1)),
                  Table::num(std::uint64_t{outcome.revealed_bids[r]}),
                  Table::num(std::uint64_t{outcome.clearing_price}),
                  Table::num(std::uint64_t{valuations[w]} -

@@ -373,19 +373,8 @@ class DmwAgent {
     (void)net;
     if (task_failures_[j]) return;
     DMW_SPAN("phase3/price_resolution", j);
-    const G& g = params_.group();
     auto& view = tasks_[j];
-    std::vector<typename G::Scalar> points;
-    std::vector<typename G::Elem> lambdas;
-    points.reserve(params_.n());
-    lambdas.reserve(params_.n());
-    for (std::size_t k = 0; k < params_.n(); ++k) {
-      if (!view.alive[k] || !view.lambda[k] || !view.psi[k]) continue;
-      points.push_back(params_.pseudonym(k));
-      lambdas.push_back(*view.lambda[k]);
-    }
-    const auto resolution =
-        poly::resolve_degree_in_exponent(g, points, lambdas);
+    const auto resolution = resolve_published(view, view.lambda, view.psi);
     if (!resolution.degree || !params_.degree_is_valid_bid(*resolution.degree))
       return record_failure(j, AbortReason::kFirstPriceUnresolved);
     view.first_price = params_.bid_for_degree(*resolution.degree);
@@ -580,19 +569,9 @@ class DmwAgent {
     (void)net;
     if (task_failures_[j]) return;
     DMW_SPAN("phase3/second_price_resolution", j);
-    const G& g = params_.group();
     auto& view = tasks_[j];
-    std::vector<typename G::Scalar> points;
-    std::vector<typename G::Elem> lambdas;
-    points.reserve(params_.n());
-    lambdas.reserve(params_.n());
-    for (std::size_t k = 0; k < params_.n(); ++k) {
-      if (!view.alive[k] || !view.lambda_red[k] || !view.psi_red[k]) continue;
-      points.push_back(params_.pseudonym(k));
-      lambdas.push_back(*view.lambda_red[k]);
-    }
     const auto resolution =
-        poly::resolve_degree_in_exponent(g, points, lambdas);
+        resolve_published(view, view.lambda_red, view.psi_red);
     if (!resolution.degree || !params_.degree_is_valid_bid(*resolution.degree))
       return record_failure(j, AbortReason::kSecondPriceUnresolved);
     view.second_price = params_.bid_for_degree(*resolution.degree);
@@ -645,6 +624,31 @@ class DmwAgent {
   /// one worker that owns the task.
   void record_failure(std::size_t task, AbortReason reason) {
     if (!task_failures_[task]) task_failures_[task] = reason;
+  }
+
+  /// Degree resolution (Eq. 12) over the published Lambda points of the
+  /// participants that sent both `lambda` and `psi`, in pseudonym order.
+  /// With all n points present that is the whole pseudonym set, whose
+  /// prefix bases PublicParams already holds; a crash gap builds bases for
+  /// the surviving points.
+  poly::DegreeResolution resolve_published(
+      const TaskView<G>& view,
+      const std::vector<std::optional<typename G::Elem>>& lambda,
+      const std::vector<std::optional<typename G::Elem>>& psi) const {
+    std::vector<typename G::Scalar> points;
+    std::vector<typename G::Elem> lambdas;
+    points.reserve(params_.n());
+    lambdas.reserve(params_.n());
+    for (std::size_t k = 0; k < params_.n(); ++k) {
+      if (!view.alive[k] || !lambda[k] || !psi[k]) continue;
+      points.push_back(params_.pseudonym(k));
+      lambdas.push_back(*lambda[k]);
+    }
+    const G& g = params_.group();
+    if (lambdas.size() == params_.n())
+      return poly::resolve_degree_in_exponent(g, params_.prefix_bases(),
+                                              lambdas);
+    return poly::resolve_degree_in_exponent(g, points, lambdas);
   }
 
   /// The historical one-check-at-a-time III.1 scan. The batch_verify=false

@@ -94,7 +94,7 @@ MultiUnitOutcome run_multiunit_auction(const PublicParams<G>& params,
       lambdas.push_back(g.pow(g.z1(), sum));
     }
     const auto resolution =
-        poly::resolve_degree_in_exponent(g, alphas, lambdas);
+        poly::resolve_degree_in_exponent(g, params.prefix_bases(), lambdas);
     if (!resolution.degree || !params.degree_is_valid_bid(*resolution.degree))
       return outcome;  // unresolved: leave resolved=false
     const mech::Cost best_cost = params.bid_for_degree(*resolution.degree);
@@ -112,10 +112,9 @@ MultiUnitOutcome run_multiunit_auction(const PublicParams<G>& params,
     const std::size_t needed = best_cost + 1;
     DMW_CHECK(needed <= n);
     // Every candidate interpolates over the same leading `needed`
-    // pseudonyms, so the Lagrange basis at zero (one batched inversion) is
-    // hoisted out of the candidate loop; per candidate only a dot product
-    // with its f-shares remains.
-    const auto rho = poly::lagrange_basis_at_zero(g, alphas, needed);
+    // pseudonyms, whose Lagrange basis at zero PublicParams already holds;
+    // per candidate only a dot product with its f-shares remains.
+    const auto& rho = params.prefix_bases()[needed - 1];
     std::optional<std::size_t> winner;
     for (std::size_t candidate = 0; candidate < n && !winner; ++candidate) {
       if (excluded[candidate]) continue;

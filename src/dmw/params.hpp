@@ -15,12 +15,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "crypto/chacha.hpp"
 #include "mech/problem.hpp"
 #include "numeric/group.hpp"
+#include "poly/lagrange.hpp"
 #include "support/check.hpp"
 
 namespace dmw::proto {
@@ -45,6 +47,8 @@ class PublicParams {
         pseudonyms_(std::move(pseudonyms)) {
     validate();
     build_pseudonym_powers();
+    prefix_bases_ = poly::lagrange_prefix_bases(
+        group_, std::span<const Scalar>(pseudonyms_));
   }
 
   /// Standard construction: W = {1..k_max} with the largest k admissible for
@@ -136,6 +140,18 @@ class PublicParams {
   const std::vector<Scalar>& pseudonym_powers(std::size_t agent) const {
     DMW_REQUIRE(agent < n_);
     return pseudonym_powers_[agent];
+  }
+
+  /// Lagrange bases at zero for every prefix of the pseudonym set:
+  /// prefix_bases()[s-1] is the basis of the first s pseudonyms. Degree
+  /// resolution (Eq. 12) probes prefix s against basis s whenever all n
+  /// agents contributed a point, and multi-unit winner identification
+  /// interpolates over a pseudonym prefix. The bases depend only on the
+  /// public parameters, so they are built here once (one batched inversion
+  /// per prefix) and shared read-only under the same contract as
+  /// pseudonym_powers.
+  const poly::LagrangePrefixBases<G>& prefix_bases() const {
+    return prefix_bases_;
   }
 
   /// sigma = w_k + c + 1 (paper II.1): the degree of every masking
@@ -233,6 +249,7 @@ class PublicParams {
   mech::BidSet bid_set_;
   std::vector<Scalar> pseudonyms_;
   std::vector<std::vector<Scalar>> pseudonym_powers_;  // [agent][l] = a^{l+1}
+  poly::LagrangePrefixBases<G> prefix_bases_;
 };
 
 }  // namespace dmw::proto

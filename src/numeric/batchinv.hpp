@@ -5,7 +5,7 @@
 // inversion plus 3(n-1) multiplications by inverting the running product and
 // peeling per-element inverses back out. Lagrange-coefficient generation
 // (poly/lagrange.hpp) is the protocol's inversion hot spot — every
-// degree-resolution probe and every winner-interpolation basis inverts one
+// prefix-basis extension and every winner-interpolation basis inverts one
 // denominator per point — and converts wholesale: dmwlint rule `loop-inverse`
 // flags any new inv()-in-a-loop in src/dmw and src/poly and points here.
 //

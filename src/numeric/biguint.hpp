@@ -253,7 +253,7 @@ class BigUInt {
         out.push_back(kDigits[v]);
       }
     }
-    if (out.empty()) out = "0";
+    if (out.empty()) out.push_back('0');
     return out;
   }
 

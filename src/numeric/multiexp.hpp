@@ -79,10 +79,12 @@ class MultiExpCache {
   std::size_t size() const { return count_; }
   unsigned window() const { return window_; }
 
-  /// prod_j bases[j]^{exponents[j]}.
+  /// prod_j bases[j]^{exponents[j]} over the first exponents.size() bases
+  /// (a shorter vector evaluates a prefix of the cache; degree resolution
+  /// probes growing prefixes of one table).
   typename G::Elem eval(
       std::span<const typename G::Scalar> exponents) const {
-    DMW_REQUIRE(exponents.size() == count_);
+    DMW_REQUIRE(exponents.size() <= count_);
     const G& g = *ops_.g;
     unsigned max_bits = 0;
     for (const auto& e : exponents)
@@ -95,9 +97,9 @@ class MultiExpCache {
     // more time ordering the schedule than multiplying; positions are small
     // integers (< max_bits), so placement is two linear passes.
     std::vector<u64> packed;  // pos << 32 | flat table index, per digit
-    packed.reserve(count_ * (max_bits / (window_ + 1) + 1));
+    packed.reserve(exponents.size() * (max_bits / (window_ + 1) + 1));
     std::vector<WindowDigit> digits;
-    for (std::size_t j = 0; j < count_; ++j) {
+    for (std::size_t j = 0; j < exponents.size(); ++j) {
       digits.clear();
       decompose_windows(exponents[j], window_, digits);
       for (const WindowDigit& d : digits)

@@ -89,6 +89,43 @@ typename G::Scalar paper_interpolation_at_zero(
   return g.smul(phi, acc);
 }
 
+/// Lagrange bases at zero for every prefix of a point set:
+/// `bases[s-1]` is lagrange_basis_at_zero(g, points, s) for s = 1..n.
+template <dmw::num::GroupBackend G>
+using LagrangePrefixBases = std::vector<std::vector<typename G::Scalar>>;
+
+/// Builds the bases of every prefix of `points` incrementally: adding point
+/// alpha_s multiplies each existing rho_k by alpha_s / (alpha_s - alpha_k),
+/// so all n bases cost Θ(n^2) multiplications instead of the Θ(n^3) of
+/// building each from scratch. The s-1 denominators of one extension step
+/// are inverted with a single field inversion:
+/// sinv(alpha_k - alpha_s) = -sinv(alpha_s - alpha_k), so both update
+/// factors come out of the same batch. Points must be distinct and nonzero.
+template <dmw::num::GroupBackend G>
+LagrangePrefixBases<G> lagrange_prefix_bases(
+    const G& g, std::span<const typename G::Scalar> points) {
+  LagrangePrefixBases<G> bases;
+  bases.reserve(points.size());
+  std::vector<typename G::Scalar> rho;  // basis for the current prefix
+  std::vector<typename G::Scalar> diffs;
+  for (std::size_t s = 1; s <= points.size(); ++s) {
+    const auto& alpha_new = points[s - 1];
+    typename G::Scalar rho_new = g.sone();
+    diffs.resize(s - 1);
+    for (std::size_t k = 0; k + 1 < s; ++k)
+      diffs[k] = g.ssub(alpha_new, points[k]);
+    dmw::num::batch_inverse(g, std::span<typename G::Scalar>(diffs));
+    for (std::size_t k = 0; k + 1 < s; ++k) {
+      const auto& alpha_k = points[k];
+      rho[k] = g.smul(rho[k], g.smul(alpha_new, diffs[k]));
+      rho_new = g.smul(rho_new, g.smul(alpha_k, g.sneg(diffs[k])));
+    }
+    rho.push_back(rho_new);
+    bases.push_back(rho);
+  }
+  return bases;
+}
+
 /// Result of a degree-resolution scan.
 struct DegreeResolution {
   /// Resolved degree (least s with a vanishing interpolation, minus one).
@@ -111,34 +148,14 @@ DegreeResolution resolve_degree(const G& g,
                                 const std::vector<typename G::Scalar>& points,
                                 const std::vector<typename G::Scalar>& values) {
   DMW_REQUIRE(points.size() == values.size());
+  const auto bases =
+      lagrange_prefix_bases(g, std::span<const typename G::Scalar>(points));
   DegreeResolution out;
-  // Incremental Lagrange basis: adding point alpha_s multiplies each
-  // existing rho_k by alpha_s / (alpha_s - alpha_k), keeping the whole scan
-  // Θ(s^2) instead of the Θ(s^3) of recomputing each probe from scratch
-  // (mirrors resolve_degree_in_exponent; equivalence is tested). The s-1
-  // denominators of one extension step are inverted with a single field
-  // inversion: sinv(alpha_k - alpha_s) = -sinv(alpha_s - alpha_k), so both
-  // update factors come out of the same batch.
-  std::vector<typename G::Scalar> rho;
-  std::vector<typename G::Scalar> diffs;
   for (std::size_t s = 1; s <= points.size(); ++s) {
-    const auto& alpha_new = points[s - 1];
-    typename G::Scalar rho_new = g.sone();
-    diffs.resize(s - 1);
-    for (std::size_t k = 0; k + 1 < s; ++k)
-      diffs[k] = g.ssub(alpha_new, points[k]);
-    dmw::num::batch_inverse(g, std::span<typename G::Scalar>(diffs));
-    for (std::size_t k = 0; k + 1 < s; ++k) {
-      const auto& alpha_k = points[k];
-      rho[k] = g.smul(rho[k], g.smul(alpha_new, diffs[k]));
-      rho_new = g.smul(rho_new, g.smul(alpha_k, g.sneg(diffs[k])));
-    }
-    rho.push_back(rho_new);
-
     ++out.probes;
     typename G::Scalar acc = g.szero();
     for (std::size_t k = 0; k < s; ++k)
-      acc = g.sadd(acc, g.smul(values[k], rho[k]));
+      acc = g.sadd(acc, g.smul(values[k], bases[s - 1][k]));
     if (acc == g.szero()) {
       out.degree = s - 1;
       return out;
@@ -152,47 +169,39 @@ DegreeResolution resolve_degree(const G& g,
 ///   prod_{k<s} Lambda_k^{rho_k} == identity,
 /// i.e. z^{E-interpolated-at-0} == 1, and return s-1 as the degree of E.
 ///
-/// The rho basis is maintained incrementally across s (each new point
-/// multiplies every existing rho_k by alpha_s/(alpha_s - alpha_k)), keeping
-/// the scalar work Θ(s^2) overall as in the paper's §2.4 algorithm. Each
-/// extension step batch-inverts its denominators (one inversion instead of
-/// 2(s-1)), and each probe evaluates prod_k Lambda_k^{rho_k} as one
-/// multi-exponentiation — a shared squaring chain instead of s independent
-/// full-length exponentiations.
+/// `bases` are the Lagrange prefix bases of the points the Lambdas sit at
+/// (lagrange_prefix_bases; PublicParams keeps them for the pseudonym set),
+/// so a probe does no scalar work. The scan is linear in s and stops at the
+/// first identity. One MultiExpCache tables every Lambda once; probe s
+/// evaluates its first s bases against basis s — a shared squaring chain
+/// instead of s independent full-length exponentiations.
 template <dmw::num::GroupBackend G>
 DegreeResolution resolve_degree_in_exponent(
-    const G& g, const std::vector<typename G::Scalar>& points,
-    const std::vector<typename G::Elem>& lambdas) {
-  DMW_REQUIRE(points.size() == lambdas.size());
+    const G& g, const LagrangePrefixBases<G>& bases,
+    std::span<const typename G::Elem> lambdas) {
+  DMW_REQUIRE(bases.size() == lambdas.size());
   DegreeResolution out;
-  std::vector<typename G::Scalar> rho;  // basis for current s
-  std::vector<typename G::Scalar> diffs;
-  for (std::size_t s = 1; s <= points.size(); ++s) {
-    // Extend the basis from s-1 to s points (same batched update as
-    // resolve_degree above).
-    const auto& alpha_new = points[s - 1];
-    typename G::Scalar rho_new = g.sone();
-    diffs.resize(s - 1);
-    for (std::size_t k = 0; k + 1 < s; ++k)
-      diffs[k] = g.ssub(alpha_new, points[k]);
-    dmw::num::batch_inverse(g, std::span<typename G::Scalar>(diffs));
-    for (std::size_t k = 0; k + 1 < s; ++k) {
-      const auto& alpha_k = points[k];
-      rho[k] = g.smul(rho[k], g.smul(alpha_new, diffs[k]));
-      rho_new = g.smul(rho_new, g.smul(alpha_k, g.sneg(diffs[k])));
-    }
-    rho.push_back(rho_new);
-
+  const dmw::num::MultiExpCache<G> cache(g, lambdas, g.scalar_bits());
+  for (std::size_t s = 1; s <= lambdas.size(); ++s) {
     ++out.probes;
-    const auto acc = dmw::num::multi_pow<G>(
-        g, std::span<const typename G::Elem>(lambdas.data(), s),
-        std::span<const typename G::Scalar>(rho.data(), s));
-    if (g.is_identity(acc)) {
+    if (g.is_identity(cache.eval(bases[s - 1]))) {
       out.degree = s - 1;
       return out;
     }
   }
   return out;
+}
+
+/// Resolution over an arbitrary point set (a crash gap, tests, benches):
+/// builds the point set's prefix bases and runs the scan above.
+template <dmw::num::GroupBackend G>
+DegreeResolution resolve_degree_in_exponent(
+    const G& g, const std::vector<typename G::Scalar>& points,
+    const std::vector<typename G::Elem>& lambdas) {
+  DMW_REQUIRE(points.size() == lambdas.size());
+  return resolve_degree_in_exponent(
+      g, lagrange_prefix_bases(g, std::span<const typename G::Scalar>(points)),
+      std::span<const typename G::Elem>(lambdas));
 }
 
 }  // namespace dmw::poly

@@ -280,6 +280,54 @@ TEST(MultiExpCacheTest, Group256StaysInMontgomeryDomain) {
   EXPECT_LT(fast.mul, naive.mul);
 }
 
+template <GroupBackend G>
+void expect_prefix_eval_matches_naive(const G& g_base, std::size_t k,
+                                      std::uint64_t seed) {
+  G g_off = g_base;
+  G g_on = g_base;
+  g_off.set_simd_mode(simd::SimdMode::kOff);
+  g_on.set_simd_mode(simd::SimdMode::kOn);
+  Xoshiro256ss rng(seed);
+  std::vector<typename G::Elem> bases;
+  std::vector<typename G::Scalar> exps;
+  for (std::size_t i = 0; i < k; ++i) {
+    bases.push_back(g_base.pow(g_base.z1(), g_base.random_nonzero_scalar(rng)));
+    exps.push_back(g_base.random_scalar(rng));
+  }
+  OpCountScope build_off;
+  const MultiExpCache<G> off(g_off, bases, g_base.scalar_bits());
+  const auto off_build = build_off.delta();
+  OpCountScope build_on;
+  const MultiExpCache<G> on(g_on, bases, g_base.scalar_bits());
+  const auto on_build = build_on.delta();
+  EXPECT_EQ(off_build.mul, on_build.mul) << "k=" << k;
+  EXPECT_EQ(off_build.total(), on_build.total()) << "k=" << k;
+  for (std::size_t j = 0; j <= k; ++j) {
+    const std::span<const typename G::Elem> leading(bases.data(), j);
+    const std::span<const typename G::Scalar> prefix(exps.data(), j);
+    OpCountScope so;
+    const auto got_off = off.eval(prefix);
+    const auto od = so.delta();
+    OpCountScope sn;
+    const auto got_on = on.eval(prefix);
+    const auto nd = sn.delta();
+    EXPECT_EQ(got_off, multi_pow_naive<G>(g_base, leading, prefix))
+        << "k=" << k << " j=" << j;
+    EXPECT_EQ(got_on, got_off) << "k=" << k << " j=" << j;
+    EXPECT_EQ(od.mul, nd.mul) << "k=" << k << " j=" << j;
+    EXPECT_EQ(od.total(), nd.total()) << "k=" << k << " j=" << j;
+  }
+  EXPECT_THROW((void)off.eval(std::vector<typename G::Scalar>(k + 1)),
+               dmw::CheckError);
+}
+
+TEST(MultiExpCacheTest, PrefixEvalMatchesNaiveOverLeadingBases) {
+  // Degree resolution evaluates growing prefixes of one table: a shorter
+  // exponent vector must mean the product over the leading bases only.
+  expect_prefix_eval_matches_naive(Group64::test_group(), 9, 15);
+  expect_prefix_eval_matches_naive(big(), 6, 16);
+}
+
 // ---- op-count contract -----------------------------------------------------
 
 TEST(OpCountContract, PowCountsItsMultiplications) {

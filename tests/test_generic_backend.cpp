@@ -146,8 +146,9 @@ TEST_P(InvariantSweep, OutcomeInvariantsHold) {
     // Invariant 4: non-negative utility (voluntary participation).
     EXPECT_GE(outcome.utility(instance, i), 0);
     // Invariant 5: agents with no tasks receive no payment.
-    if (outcome.schedule.tasks_for(i).empty())
+    if (outcome.schedule.tasks_for(i).empty()) {
       EXPECT_EQ(outcome.payments[i], 0u);
+    }
   }
   // Invariant 6: total payments = sum of second prices.
   std::uint64_t expected = 0;

@@ -3,6 +3,7 @@
 // sweeps over the encoded degree — the core primitive of DMW's bid encoding.
 #include <gtest/gtest.h>
 
+#include "dmw/params.hpp"
 #include "poly/lagrange.hpp"
 #include "poly/polynomial.hpp"
 #include "support/rng.hpp"
@@ -11,14 +12,24 @@ namespace dmw::poly {
 namespace {
 
 using dmw::Xoshiro256ss;
+using dmw::num::Group256;
 using dmw::num::Group64;
 using Poly = Polynomial<Group64>;
 
 const Group64& grp() { return Group64::test_group(); }
 
-std::vector<std::uint64_t> distinct_points(const Group64& g, std::size_t n,
-                                           Xoshiro256ss& rng) {
-  std::vector<std::uint64_t> points;
+const Group256& big() {
+  static const Group256 group = [] {
+    Xoshiro256ss rng(77);
+    return Group256::generate(96, 64, rng);
+  }();
+  return group;
+}
+
+template <dmw::num::GroupBackend G>
+std::vector<typename G::Scalar> distinct_points(const G& g, std::size_t n,
+                                                Xoshiro256ss& rng) {
+  std::vector<typename G::Scalar> points;
   while (points.size() < n) {
     const auto candidate = g.random_nonzero_scalar(rng);
     if (std::find(points.begin(), points.end(), candidate) == points.end())
@@ -185,6 +196,109 @@ TEST(DegreeResolution, HidingBelowThreshold) {
   EXPECT_EQ(zero_hits, 0);  // probability ~200/2^40 of a false hit
 }
 
+// ---- prefix bases and resolution over them ---------------------------------
+
+template <dmw::num::GroupBackend G>
+void expect_prefix_bases_match_direct(const G& g, std::size_t n,
+                                      std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  const auto points = distinct_points(g, n, rng);
+  const auto bases =
+      lagrange_prefix_bases(g, std::span<const typename G::Scalar>(points));
+  ASSERT_EQ(bases.size(), n);
+  for (std::size_t s = 1; s <= n; ++s)
+    EXPECT_EQ(bases[s - 1], lagrange_basis_at_zero(g, points, s)) << "s=" << s;
+}
+
+TEST(LagrangePrefixBases, EachPrefixMatchesDirectBasis) {
+  expect_prefix_bases_match_direct(grp(), 12, 70);
+  expect_prefix_bases_match_direct(big(), 8, 71);
+  const std::vector<std::uint64_t> none;
+  EXPECT_TRUE(lagrange_prefix_bases(grp(), std::span(none)).empty());
+}
+
+/// Resolves `lambdas` over prebuilt prefix bases and through the
+/// (points, lambdas) form; both must agree on degree and probe count.
+template <dmw::num::GroupBackend G>
+DegreeResolution expect_prebuilt_matches_points_form(
+    const G& g, const std::vector<typename G::Scalar>& points,
+    const std::vector<typename G::Elem>& lambdas, const std::string& label) {
+  const auto bases =
+      lagrange_prefix_bases(g, std::span<const typename G::Scalar>(points));
+  const auto prebuilt = resolve_degree_in_exponent(g, bases, lambdas);
+  const auto from_points = resolve_degree_in_exponent(g, points, lambdas);
+  EXPECT_EQ(prebuilt.degree, from_points.degree) << label;
+  EXPECT_EQ(prebuilt.probes, from_points.probes) << label;
+  return prebuilt;
+}
+
+/// Lambda_k = z1^{E(alpha_k)} for a random zero-constant E of `degree`
+/// (the zero polynomial for degree 0).
+template <dmw::num::GroupBackend G>
+std::vector<typename G::Elem> lambdas_of_degree(
+    const G& g, const std::vector<typename G::Scalar>& points,
+    std::size_t degree, Xoshiro256ss& rng) {
+  std::vector<typename G::Elem> lambdas;
+  const auto p = degree == 0 ? Polynomial<G>()
+                             : Polynomial<G>::random_zero_const(g, degree, rng);
+  for (const auto& x : points) lambdas.push_back(g.pow(g.z1(), p.eval(g, x)));
+  return lambdas;
+}
+
+template <dmw::num::GroupBackend G>
+void expect_prebuilt_resolves_every_degree(const G& g, std::size_t n,
+                                           std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  const auto points = distinct_points(g, n, rng);
+  for (std::size_t degree = 0; degree < n; ++degree) {
+    const auto res = expect_prebuilt_matches_points_form(
+        g, points, lambdas_of_degree(g, points, degree, rng),
+        "degree=" + std::to_string(degree));
+    ASSERT_TRUE(res.degree.has_value()) << "degree=" << degree;
+    EXPECT_EQ(*res.degree, degree);
+    EXPECT_EQ(res.probes, degree + 1);
+  }
+  // Degree n: no prefix vanishes, every probe runs.
+  const auto res = expect_prebuilt_matches_points_form(
+      g, points, lambdas_of_degree(g, points, n, rng), "degree=n");
+  EXPECT_FALSE(res.degree.has_value());
+  EXPECT_EQ(res.probes, n);
+}
+
+TEST(LagrangePrefixBases, ResolutionMatchesPointsFormForEveryDegree) {
+  expect_prebuilt_resolves_every_degree(grp(), 12, 72);
+  expect_prebuilt_resolves_every_degree(big(), 6, 73);
+}
+
+TEST(LagrangePrefixBases, EarlyVanishingResolvesToAnInvalidBid) {
+  // A Lambda vector can vanish before the honest aggregate's degree: the
+  // first point is the identity, or E itself has degree <= c. Resolution
+  // over the params' bases stops at the same probe as the points form, and
+  // the resolved degree encodes no bid in W, so the protocol rejects it.
+  const auto params =
+      dmw::proto::PublicParams<Group64>::make(grp(), 8, 1, 2, 5);
+  const auto& points = params.pseudonyms();
+  Xoshiro256ss rng(74);
+  const auto check = [&](const std::vector<std::uint64_t>& lambdas,
+                         std::size_t expected, const std::string& label) {
+    const auto res =
+        expect_prebuilt_matches_points_form(grp(), points, lambdas, label);
+    const auto over_params =
+        resolve_degree_in_exponent(grp(), params.prefix_bases(), lambdas);
+    EXPECT_EQ(over_params.degree, res.degree) << label;
+    EXPECT_EQ(over_params.probes, res.probes) << label;
+    ASSERT_EQ(res.degree, std::optional<std::size_t>(expected)) << label;
+    EXPECT_EQ(res.probes, expected + 1) << label;
+    EXPECT_FALSE(params.degree_is_valid_bid(expected)) << label;
+  };
+  auto lambdas = lambdas_of_degree(grp(), points, 6, rng);
+  lambdas[0] = grp().identity();
+  check(lambdas, 0, "identity first point");
+  for (std::size_t degree = 0; degree <= params.c(); ++degree)
+    check(lambdas_of_degree(grp(), points, degree, rng), degree,
+          "degree=" + std::to_string(degree));
+}
+
 TEST(Lagrange, RejectsMismatchedInput) {
   const Group64& g = grp();
   const std::vector<std::uint64_t> points{1, 2, 3};
@@ -193,6 +307,9 @@ TEST(Lagrange, RejectsMismatchedInput) {
   EXPECT_THROW(interpolate_at_zero(g, points, values, 3), dmw::CheckError);
   EXPECT_THROW(lagrange_basis_at_zero(g, points, 0), dmw::CheckError);
   EXPECT_THROW(lagrange_basis_at_zero(g, points, 4), dmw::CheckError);
+  const auto bases =
+      lagrange_prefix_bases(g, std::span<const std::uint64_t>(points));
+  EXPECT_THROW(resolve_degree_in_exponent(g, bases, values), dmw::CheckError);
 }
 
 }  // namespace

@@ -88,8 +88,9 @@ TEST(SimdKernels, BackendIsConsistent) {
   const simd::LaneBackend backend = simd::active_backend();
   EXPECT_EQ(backend, simd::active_backend());  // latched once
   EXPECT_NE(std::string(simd::backend_name(backend)), "");
-  if (!simd::compiled_in())
+  if (!simd::compiled_in()) {
     EXPECT_EQ(backend, simd::LaneBackend::kScalar);
+  }
   // kOn always groups, kOff never does; kAuto follows the backend.
   EXPECT_TRUE(simd::mode_groups_lanes(simd::SimdMode::kOn));
   EXPECT_FALSE(simd::mode_groups_lanes(simd::SimdMode::kOff));

@@ -353,23 +353,25 @@ TEST(ParallelProtocol, MoreThreadsThanTasksOrAgents) {
 
 // ---- Shared per-agent cache publication contract ---------------------------
 
-// The amortized setup caches (pseudonym-power tables in PublicParams, pristine
-// RNG streams inside each agent) are built once and then read concurrently by
-// every worker. This test proves the publication contract two ways: the
-// tables are byte-identical before and after a multi-threaded run, and a
-// worker pool hammering reads against the same rows while a pooled protocol
-// run is using them stays TSan-clean (any post-publication write
-// would be a data race the sanitizer job flags).
+// The amortized setup caches (pseudonym-power tables and Lagrange prefix bases
+// in PublicParams, pristine RNG streams inside each agent) are built once and
+// then read concurrently by every worker. This test proves the publication
+// contract two ways: the tables are byte-identical before and after a
+// multi-threaded run, and a worker pool hammering reads against the same rows
+// while a pooled protocol run is using them stays TSan-clean (any
+// post-publication write would be a data race the sanitizer job flags).
 TEST(ParallelProtocol, SharedCachesImmutableAfterPublication) {
   const auto params = PublicParams<Group64>::make(grp(), 5, 4, 1, 9);
   Xoshiro256ss rng(31);
   const auto instance = mech::make_uniform_instance(5, 4, params.bid_set(), rng);
 
-  // Snapshot the shared pseudonym-power rows before any protocol run.
+  // Snapshot the shared pseudonym-power rows and prefix bases before any
+  // protocol run.
   std::vector<std::vector<Group64::Scalar>> snapshot;
   for (std::size_t k = 0; k < params.n(); ++k) {
     snapshot.push_back(params.pseudonym_powers(k));
   }
+  const auto bases_snapshot = params.prefix_bases();
 
   // Concurrent-reader hammer: while the protocol run below reads the caches
   // from its own workers, this pool re-reads every row and compares against
@@ -386,6 +388,9 @@ TEST(ParallelProtocol, SharedCachesImmutableAfterPublication) {
           if (row != snapshot[k]) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
+        }
+        if (params.prefix_bases() != bases_snapshot) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
         }
         std::this_thread::yield();
       }
@@ -404,6 +409,7 @@ TEST(ParallelProtocol, SharedCachesImmutableAfterPublication) {
     EXPECT_EQ(params.pseudonym_powers(k), snapshot[k])
         << "pseudonym powers mutated for agent " << k;
   }
+  EXPECT_EQ(params.prefix_bases(), bases_snapshot);
 }
 
 // ---- SimNetwork under concurrent traffic -----------------------------------

@@ -53,7 +53,9 @@ TEST(Params, PseudonymsAreDistinctSortedNonzero) {
   ASSERT_EQ(alphas.size(), 12u);
   for (std::size_t i = 0; i < alphas.size(); ++i) {
     EXPECT_NE(alphas[i], 0u);
-    if (i > 0) EXPECT_LT(alphas[i - 1], alphas[i]);
+    if (i > 0) {
+      EXPECT_LT(alphas[i - 1], alphas[i]);
+    }
   }
 }
 

@@ -51,8 +51,9 @@ TEST(MinWork, AllocationIsArgmin) {
     const std::size_t w = out.schedule.agent_for(j);
     for (std::size_t i = 0; i < instance.n; ++i) {
       EXPECT_GE(instance.cost[i][j], instance.cost[w][j]);
-      if (instance.cost[i][j] == instance.cost[w][j])
+      if (instance.cost[i][j] == instance.cost[w][j]) {
         EXPECT_GE(i, w);  // smallest-index tie-break
+      }
     }
   }
 }

@@ -12,8 +12,7 @@
 //
 // Examples:
 //   dmw_serve --n 6 --m 4 --auctions 1000 --threads 4
-//   dmw_serve --arrivals poisson --rate 200 --check-oneshot \
-//       --report-out serve.json
+//   dmw_serve --arrivals poisson --rate 200 --check-oneshot --report-out r.json
 //   dmw_serve --workload-file reqs.txt --snapshots-out intervals.json
 #include <cmath>
 #include <cstdio>
@@ -217,8 +216,9 @@ int run_serve(G group, const Flags& flags) {
     const std::int64_t start_ns = tracer.now_ns();
     const auto& outcome = engine.run_auction(request);
     const std::int64_t end_ns = tracer.now_ns();
-    if (outcome.aborted)
+    if (outcome.aborted) {
       DMW_WARN() << "auction " << request.id << " aborted";
+    }
 
     // asap has no meaningful arrival instant: latency is pure service time.
     const std::int64_t reference_ns =
